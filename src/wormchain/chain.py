@@ -12,6 +12,14 @@ the axis ``(cos phi_n, sin phi_n, 0)``.  Right-multiplication means the
 torsion axis lives in the body frame, i.e. in the plane perpendicular to the
 current bond, which enforces the bond-length and bond-angle constraints
 exactly (up to float roundoff).
+
+The product runs in :func:`wormchain.so3.frame_scan`, the kernel the
+wormlike chain uses too: ``Z_n`` is a unit quaternion and ``H_n`` is
+``(cos(theta/2), sin(theta/2) cos phi_n, sin(theta/2) sin phi_n, 0)``; the
+chain differs from the continuum model only in that fixed angle and uniform
+axis, and in summing bonds where the continuum integrates by the trapezoid
+rule.  Long chains are cut into time segments scanned side by side and
+stitched, as described in :mod:`wormchain.so3`.
 """
 from __future__ import annotations
 
@@ -20,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .so3 import mgs_orthonormalize_batch
+from .so3 import frame_scan
 
 __all__ = [
     "FrcConfig",
@@ -31,11 +39,6 @@ __all__ = [
     "frc_msd_oracle",
     "write_chain_csv",
 ]
-
-# Re-orthonormalize the accumulated rotation after this many bond steps.
-# Drift of 3x3 float products grows like sqrt(steps) * eps, so this keeps
-# the defect orders of magnitude below every stated tolerance.
-REORTHONORMALIZE_EVERY = 1024
 
 _E3 = np.array([0.0, 0.0, 1.0])
 
@@ -141,25 +144,29 @@ class DiscreteChain:
         return float(self.beads[1, 2])
 
 
-def _cone_rotations(cos_t: float, sin_t: float, cphi: np.ndarray, sphi: np.ndarray) -> np.ndarray:
-    """Stack of rotations by a fixed angle about axes (cos phi, sin phi, 0).
+def _frc_steps(theta: float, phis: np.ndarray):
+    """Step-quaternion filler for :func:`frame_scan`: the rotation by
+    ``theta`` about ``(cos phi, sin phi, 0)`` is ``(cos(theta/2),
+    sin(theta/2) cos phi, sin(theta/2) sin phi, 0)``.  ``cos phi`` and
+    ``sin phi`` come from one ``tau = tan(phi/2)`` as ``(1 - tau^2)/(1 +
+    tau^2)`` and ``2 tau/(1 + tau^2)``."""
+    cos_half = math.cos(0.5 * theta)
+    sin_half = math.sin(0.5 * theta)
 
-    Closed form of ``cos(t) I + sin(t) hat(u) + (1 - cos t) u u^T`` for unit
-    axes in the x-y plane; cheaper than the general Rodrigues kernel because
-    the angle is shared.
-    """
-    one_m = 1.0 - cos_t
-    h = np.empty((cphi.shape[0], 3, 3))
-    h[:, 0, 0] = cos_t + one_m * cphi * cphi
-    h[:, 0, 1] = one_m * cphi * sphi
-    h[:, 0, 2] = sin_t * sphi
-    h[:, 1, 0] = h[:, 0, 1]
-    h[:, 1, 1] = cos_t + one_m * sphi * sphi
-    h[:, 1, 2] = -sin_t * cphi
-    h[:, 2, 0] = -h[:, 0, 2]
-    h[:, 2, 1] = -h[:, 1, 2]
-    h[:, 2, 2] = cos_t
-    return h
+    def fill(idx, pw, px, py):
+        tau = np.take(phis, idx, axis=1)
+        tau *= 0.5
+        np.tan(tau, out=tau)
+        f = tau * tau
+        np.subtract(1.0, f, out=px)
+        f += 1.0
+        np.divide(sin_half, f, out=f)  # sin(theta/2) / (1 + tau^2)
+        px *= f
+        np.multiply(tau, 2.0, out=py)
+        py *= f
+        pw.fill(cos_half)
+
+    return fill
 
 
 def _frc_scan(cfg: FrcConfig, phis: np.ndarray, *, keep_beads: bool = False,
@@ -169,6 +176,10 @@ def _frc_scan(cfg: FrcConfig, phis: np.ndarray, *, keep_beads: bool = False,
     ``phis`` has shape (C, N-1), one torsion row per chain.  Returns recorded
     unit bond directions at 1-based bond indices ``bond_marks``, bead
     positions at ``bead_marks``, and optionally the full bead arrays.
+
+    Bond ``m`` is the frame's tangent after ``m - 1`` torsion steps of
+    :func:`wormchain.so3.frame_scan`, and bead ``m >= 1`` is ``a e3`` (the
+    fixed first bond) plus the scan's bond sum with weights ``(0, a)``.
     """
     n = cfg.n_bonds
     a = cfg.bond_length
@@ -182,42 +193,17 @@ def _frc_scan(cfg: FrcConfig, phis: np.ndarray, *, keep_beads: bool = False,
         if not 0 <= m <= n:
             raise ValueError(f"bead mark {m} outside 0..{n}")
 
-    cos_t = math.cos(cfg.bond_angle)
-    sin_t = math.sin(cfg.bond_angle)
-    z = np.broadcast_to(np.eye(3), (paths, 3, 3)).copy()
-    r = np.zeros((paths, 3))
-    bonds_out = {m: None for m in bond_marks}
-    beads_out = {m: None for m in bead_marks}
-    beads_all = np.zeros((paths, n + 1, 3)) if keep_beads else None
-
-    if 0 in beads_out:
-        beads_out[0] = np.zeros((paths, 3))
-
-    # bond 1 is deterministic: a * e3
-    direction = np.broadcast_to(_E3, (paths, 3))
-    r = r + a * direction
+    rec = frame_scan(_frc_steps(cfg.bond_angle, phis), paths, n - 1, weights=(0.0, a),
+                     marks=[m - 1 for m in (*bond_marks, *bead_marks) if m >= 1],
+                     keep_path=keep_beads)
+    first_bond = a * _E3
+    bonds_out = {m: rec["tangents"][m - 1] for m in bond_marks}
+    beads_out = {m: first_bond + rec["positions"][m - 1] if m else np.zeros((paths, 3))
+                 for m in bead_marks}
+    beads_all = None
     if keep_beads:
-        beads_all[:, 1] = r
-    if 1 in bonds_out:
-        bonds_out[1] = direction.copy()
-    if 1 in beads_out:
-        beads_out[1] = r.copy()
-
-    for bond in range(2, n + 1):
-        phi = phis[:, bond - 2]
-        h = _cone_rotations(cos_t, sin_t, np.cos(phi), np.sin(phi))
-        z = z @ h
-        if bond % REORTHONORMALIZE_EVERY == 0:
-            z = mgs_orthonormalize_batch(z)
-        direction = z[:, :, 2]
-        r = r + a * direction
-        if keep_beads:
-            beads_all[:, bond] = r
-        if bond in bonds_out:
-            bonds_out[bond] = direction.copy()
-        if bond in beads_out:
-            beads_out[bond] = r.copy()
-
+        beads_all = np.concatenate(
+            [np.zeros((paths, 1, 3)), first_bond + rec["positions_all"]], axis=1)
     return {"bonds": bonds_out, "beads": beads_out, "beads_all": beads_all}
 
 

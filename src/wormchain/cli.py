@@ -7,7 +7,8 @@ series for external plotting).
 
 Exit codes: 0 success, 1 I/O failure, 2 usage error, 3 verification failure.
 A failed verify suite is rerun once with ``seed + 1`` before being declared
-red, so a single 4-sigma statistical flake does not fail CI.
+red, so a single 4-sigma statistical flake does not fail CI; the JSON report
+keeps every attempt (seed, pass, wall time, rows) under ``attempts``.
 """
 from __future__ import annotations
 
@@ -114,7 +115,7 @@ def _cmd_simulate_frc(args) -> int:
             cfg = FrcConfig.scaled(args.n_bonds, args.contour_length, args.kappa)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    chain = sample_frc(cfg, path_rng(args.seed, 0))
+    chain = sample_frc(cfg, path_rng(_check_seed(args.seed), 0))
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         write_chain_csv(chain, fh)
     return 0
@@ -125,10 +126,18 @@ def _cmd_simulate_kp(args) -> int:
         cfg = KpConfig.create(args.contour_length, args.ell_p, args.n_steps)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    path = simulate_kp(cfg, path_rng(args.seed, 0))
+    path = simulate_kp(cfg, path_rng(_check_seed(args.seed), 0))
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         write_path_csv(path, fh)
     return 0
+
+
+def _check_seed(seed: int) -> int:
+    # path streams key on the seed as an unsigned 64-bit word; anything
+    # outside that range would wrap onto another seed's streams
+    if not 0 <= seed < 1 << 64:
+        raise _UsageError(f"seed must be an integer in [0, 2**64), got {seed}")
+    return seed
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -180,11 +189,15 @@ def _resolve_params(args, suite: str) -> dict:
             params[key] = flag_value
     if params["seed"] is None:
         raise _UsageError("--seed is required (flag or config file)")
+    _check_seed(params["seed"])
     if params["workers"] is None:
+        text = os.environ.get("WORMCHAIN_WORKERS", "1")
         try:
-            params["workers"] = int(os.environ.get("WORMCHAIN_WORKERS", "1"))
-        except ValueError:
-            params["workers"] = 1
+            params["workers"] = int(text)
+        except ValueError as exc:
+            raise _UsageError(f"WORMCHAIN_WORKERS must be an integer, got {text!r}") from exc
+    if params["workers"] < 1:
+        raise _UsageError(f"workers must be at least 1, got {params['workers']}")
     return params
 
 
@@ -231,10 +244,10 @@ def _cmd_verify(args) -> int:
     all_pass = True
     for suite in suites:
         params = _resolve_params(args, suite)
-        started = time.perf_counter()
+        attempts = []
         seed = params["seed"]
         try:
-            reports = _run_suite(suite, params, seed)
+            reports = _attempt(suite, params, seed, attempts)
         except ValueError as exc:
             # the suites validate their parameters before any sampling
             raise _UsageError(str(exc)) from exc
@@ -243,8 +256,8 @@ def _cmd_verify(args) -> int:
             # one-rerun flake policy: a fresh seed decides; two failures = red
             reran = True
             seed = params["seed"] + 1
-            reports = _run_suite(suite, params, seed)
-        wall = time.perf_counter() - started
+            reports = _attempt(suite, params, seed, attempts)
+        wall = sum(a["wall_time_s"] for a in attempts)
 
         for report in reports:
             status = "PASS" if report.passed else "FAIL"
@@ -266,6 +279,7 @@ def _cmd_verify(args) -> int:
             "n_paths": params["n_paths"],
             "reports": reports_to_dicts(reports),
             "wall_time_s": wall,
+            "attempts": attempts,
         }
         os.makedirs(args.out_dir, exist_ok=True)
         csv_path = os.path.join(args.out_dir, f"report-{suite}.csv")
@@ -276,6 +290,19 @@ def _cmd_verify(args) -> int:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return 0 if all_pass else 3
+
+
+def _attempt(suite: str, params: dict, seed: int, attempts: list) -> list:
+    """Run one attempt of a suite and append its record to ``attempts``."""
+    started = time.perf_counter()
+    reports = _run_suite(suite, params, seed)
+    attempts.append({
+        "seed": seed,
+        "passed": all(r.passed for r in reports),
+        "wall_time_s": time.perf_counter() - started,
+        "reports": reports_to_dicts(reports),
+    })
+    return reports
 
 
 def _parse_name_params(name: str) -> tuple[str, dict[str, str]]:
@@ -290,62 +317,69 @@ def _parse_name_params(name: str) -> tuple[str, dict[str, str]]:
     return base, params
 
 
+_REPORT_COLUMNS = {"observable", "s", "t", "estimate", "stderr", "oracle"}
+
+
 def _cmd_plotdata(args) -> int:
     import csv
 
-    with open(args.report, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+    # one row in, its rows out: memory stays flat however long the input
+    with open(args.report, "r", encoding="utf-8", newline="") as src:
+        reader = csv.DictReader(src)
         fields = reader.fieldnames or []
-        rows = list(reader)
-
-    if fields and fields[0] in ("s", "n") and "observable" not in fields:
-        # a simulated path/chain file: one series per numeric column
-        x_col = fields[0]
-        out_rows = [[col, row[x_col], row[col], row[col], row[col]]
-                    for row in rows for col in fields[1:] if row[col] != ""]
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
+        path_file = bool(fields) and fields[0] in ("s", "n") and "observable" not in fields
+        if fields and not path_file and not _REPORT_COLUMNS <= set(fields):
+            raise _UsageError(f"{args.report} is neither a report nor a path CSV "
+                              f"(columns {', '.join(fields)})")
+        with open(args.out, "w", encoding="utf-8", newline="") as dst:
+            writer = csv.writer(dst, lineterminator="\n")
             writer.writerow(["series", "x", "y", "y_lo", "y_hi"])
-            writer.writerows(out_rows)
-        return 0
-
-    out_rows: list[list[str]] = []
-    for row in rows:
-        base, params = _parse_name_params(row["observable"])
-        estimate = float(row["estimate"])
-        stderr = float(row["stderr"])
-        oracle = float(row["oracle"])
-        if "N" in params:
-            x = float(params["N"])
-            extra = ",".join(f"{k}={v}" for k, v in params.items() if k != "N")
-            series = f"{base}[{extra}]" if extra else base
-        elif row["s"] or row["t"]:
-            # the varying arclength: t unless only s is set or t is the
-            # pinned zero end (correlation rows fix s = 0 and sweep t)
-            s_val = float(row["s"]) if row["s"] else None
-            t_val = float(row["t"]) if row["t"] else None
-            if t_val is None:
-                x = s_val
-            elif s_val is None or s_val == 0.0:
-                x = t_val
-            else:
-                x = s_val
-            series = base
-        else:
-            continue  # aggregate rows (bounds, monotonicity) have no axis
-        if base.startswith("kp-gap"):
-            gap = abs(estimate - oracle)
-            out_rows.append([series, repr(x), repr(gap), repr(gap), repr(gap)])
-        else:
-            out_rows.append([series, repr(x), repr(estimate),
-                             repr(estimate - 2.0 * stderr), repr(estimate + 2.0 * stderr)])
-            out_rows.append([f"{series}:oracle", repr(x), repr(oracle), repr(oracle),
-                             repr(oracle)])
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["series", "x", "y", "y_lo", "y_hi"])
-        writer.writerows(out_rows)
+            if path_file:
+                # a simulated path/chain file: one series per numeric column
+                x_col = fields[0]
+                for row in reader:
+                    writer.writerows([col, row[x_col], row[col], row[col], row[col]]
+                                     for col in fields[1:] if row[col] != "")
+                return 0
+            for row in reader:
+                try:
+                    writer.writerows(_report_plot_rows(row))
+                except ValueError as exc:
+                    raise _UsageError(f"{args.report}, line {reader.line_num}: {exc}") from exc
     return 0
+
+
+def _report_plot_rows(row: dict) -> list[list[str]]:
+    """Plot rows of one report row: the estimate with a 2-stderr band and
+    the oracle, or the gap for a ``kp-gap`` row; none for a row with no axis."""
+    base, params = _parse_name_params(row["observable"])
+    estimate = float(row["estimate"])
+    stderr = float(row["stderr"])
+    oracle = float(row["oracle"])
+    if "N" in params:
+        x = float(params["N"])
+        extra = ",".join(f"{k}={v}" for k, v in params.items() if k != "N")
+        series = f"{base}[{extra}]" if extra else base
+    elif row["s"] or row["t"]:
+        # the varying arclength: t unless only s is set or t is the
+        # pinned zero end (correlation rows fix s = 0 and sweep t)
+        s_val = float(row["s"]) if row["s"] else None
+        t_val = float(row["t"]) if row["t"] else None
+        if t_val is None:
+            x = s_val
+        elif s_val is None or s_val == 0.0:
+            x = t_val
+        else:
+            x = s_val
+        series = base
+    else:
+        return []  # aggregate rows (bounds, monotonicity) have no axis
+    if base.startswith("kp-gap"):
+        gap = abs(estimate - oracle)
+        return [[series, repr(x), repr(gap), repr(gap), repr(gap)]]
+    return [[series, repr(x), repr(estimate),
+             repr(estimate - 2.0 * stderr), repr(estimate + 2.0 * stderr)],
+            [f"{series}:oracle", repr(x), repr(oracle), repr(oracle), repr(oracle)]]
 
 
 class _UsageError(Exception):

@@ -23,6 +23,7 @@ from .analytics import (
 )
 from .chain import FrcConfig, _frc_scan, frc_bond_correlation_oracle, frc_msd_oracle
 from .kp import KpConfig, _kp_scan
+from .so3 import MAX_SCAN_WIDTH
 
 __all__ = [
     "Observable",
@@ -49,7 +50,7 @@ DEFAULT_Z_THRESHOLD = 4.0
 # Cap on per-chunk random-increment elements (doubles); keeps the largest
 # runs near 134 MB of draw memory while amortizing numpy call overhead.
 _CHUNK_BUDGET = 1 << 24
-_MAX_CHUNK_PATHS = 4096
+_MAX_CHUNK_PATHS = MAX_SCAN_WIDTH
 
 _FRC_KINDS = {"bond_corr", "bead_msd", "bead_coord"}
 _KP_KINDS = {"tangent_dot", "path_msd", "coord_sq", "coord_prod", "incr_prod", "sup_rod_dev"}
@@ -274,6 +275,11 @@ def _chunk_ranges(model, n_paths: int) -> list[tuple[int, int]]:
     return [(start, min(start + size, n_paths)) for start in range(0, n_paths, size)]
 
 
+def _check_n_paths(n_paths: int) -> None:
+    if n_paths < 2:
+        raise ValueError(f"n_paths must be at least 2, got {n_paths}")
+
+
 def run_ensemble(model, n_paths: int, observables, seed: int, *,
                  workers: int = 1) -> EnsembleSummary:
     """Generate ``n_paths`` independent paths and accumulate observables.
@@ -284,8 +290,7 @@ def run_ensemble(model, n_paths: int, observables, seed: int, *,
     """
     if not isinstance(model, (FrcConfig, KpConfig)):
         raise ValueError(f"model must be FrcConfig or KpConfig, got {type(model).__name__}")
-    if n_paths < 2:
-        raise ValueError(f"n_paths must be at least 2, got {n_paths}")
+    _check_n_paths(n_paths)
     observables = tuple(observables)
     if not observables:
         raise ValueError("observables must be nonempty")
@@ -574,6 +579,16 @@ def convergence_table(contour_length: float, kappa: float, n_list, n_paths: int,
     return reports
 
 
+def _diagnostics_config(contour_length: float, ell_p: float, n_steps, n_paths: int,
+                        grid_points: int) -> KpConfig:
+    """Validate a diagnostics suite's parameters, so that bad input fails
+    before any regime warning is printed."""
+    if grid_points < 1:
+        raise ValueError(f"grid_points must be >= 1, got {grid_points!r}")
+    _check_n_paths(n_paths)
+    return KpConfig.create(contour_length, ell_p, n_steps)
+
+
 def hard_rod_diagnostics(ell_p: float, contour_length: float, n_paths: int,
                          grid_points: int, seed: int, *,
                          n_steps: int | None = None,
@@ -591,13 +606,11 @@ def hard_rod_diagnostics(ell_p: float, contour_length: float, n_paths: int,
     that the mean sup-deviation from the rod stays under a frozen regression
     bound.
     """
-    if grid_points < 1:
-        raise ValueError(f"grid_points must be >= 1, got {grid_points!r}")
+    cfg = _diagnostics_config(contour_length, ell_p, n_steps, n_paths, grid_points)
     if ell_p < 100.0 * contour_length:
         warnings.warn(
             f"hard-rod diagnostics expect ell_p >= 100*L; got ell_p={ell_p!r}, L={contour_length!r}",
             RuntimeWarning, stacklevel=2)
-    cfg = KpConfig.create(contour_length, ell_p, n_steps)
     s_values = [j * contour_length / grid_points for j in range(1, grid_points + 1)]
 
     observables = []
@@ -637,13 +650,11 @@ def random_coil_diagnostics(ell_p: float, contour_length: float, n_paths: int,
     cross-component covariances and increment correlations against zero,
     and the summed variance against the exact mean-squared-position form.
     """
-    if grid_points < 1:
-        raise ValueError(f"grid_points must be >= 1, got {grid_points!r}")
+    cfg = _diagnostics_config(contour_length, ell_p, n_steps, n_paths, grid_points)
     if ell_p > contour_length / 100.0:
         warnings.warn(
             f"random-coil diagnostics expect ell_p <= L/100; got ell_p={ell_p!r}, L={contour_length!r}",
             RuntimeWarning, stacklevel=2)
-    cfg = KpConfig.create(contour_length, ell_p, n_steps)
     scale = 3.0 / ell_p
     s_values = [j * contour_length / grid_points for j in range(1, grid_points + 1)]
 

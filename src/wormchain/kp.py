@@ -4,10 +4,17 @@ The unit tangent ``Q_s`` is Brownian motion on the sphere, started at the
 north pole, with correlation ``E[Q_s . Q_t] = exp(-2|t-s|/ell_p)``; the curve
 is ``R_s = integral of Q_u du``.  The tangent is carried by an SO(3)-valued
 frame process ``Z_s`` (``Q = Z e3``) advanced by a geometric (exponential)
-Euler-Maruyama step: each increment right-multiplies ``Z`` by the Rodrigues
+Euler-Maruyama step: each increment right-multiplies ``Z`` by the
 exponential of a random so(3) element built from two independent Brownian
 increments.  The frame therefore stays in SO(3) exactly, and the tangent
 stays on the sphere by construction rather than by projection.
+
+Ensembles and long paths run through the shared kernel
+:func:`wormchain.so3.frame_scan`, which carries ``Z`` as a unit quaternion:
+the step by rotation vector ``omega`` (angle ``a = |omega|``) is the
+quaternion ``(cos(a/2), sin(a/2)/a * omega)``, and a batch is cut into time
+segments that are scanned side by side and then stitched (see
+:mod:`wormchain.so3`).  :func:`step_kp` keeps the single 3x3 Rodrigues step.
 
 Noise normalization: the per-step rotation vector is
 ``sqrt(2/ell_p) * (-db2, db1, 0)`` with ``db1, db2 ~ N(0, h)``.  The factor
@@ -25,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .so3 import Rotation3, UnitVec3, mgs_orthonormalize_batch, rodrigues_batch
+from .so3 import _SMALL_ANGLE, Rotation3, UnitVec3, frame_scan, rodrigues_batch
 
 __all__ = [
     "KpConfig",
@@ -37,11 +44,6 @@ __all__ = [
     "tangent_at",
     "write_path_csv",
 ]
-
-REORTHONORMALIZE_EVERY = 1024
-
-_E3 = np.array([0.0, 0.0, 1.0])
-
 
 def default_n_steps(contour_length: float, ell_p: float) -> int:
     """Grid resolution that resolves the correlation length with >= 50 steps."""
@@ -158,6 +160,44 @@ def step_kp(z: Rotation3, dbeta1: float, dbeta2: float, ell_p: float) -> Rotatio
     return Rotation3(z.m @ rodrigues_batch(omega))
 
 
+def _kp_steps(ell_p: float, dbeta: np.ndarray):
+    """Step-quaternion filler for :func:`frame_scan` from (C, n, 2) increments.
+
+    The step rotates by ``a = |omega|`` about ``omega / a`` with ``omega =
+    sqrt(2/ell_p) (-db2, db1, 0)``, i.e. ``(cos(a/2), sin(a/2)/a * omega)``.
+    Both come from one ``tau = tan(a/4)``: ``cos(a/2) = (1 - tau^2)/(1 +
+    tau^2)`` and ``sin(a/2) = 2 tau/(1 + tau^2)``, since numpy's vectorized
+    tangent costs far less than a sine plus a cosine.  Below ``1e-4`` rad
+    ``sin(a/2)/a`` comes from its series.
+    """
+    scale = math.sqrt(2.0 / ell_p)
+
+    def fill(idx, pw, px, py):
+        d = np.take(dbeta, idx, axis=1)
+        db1, db2 = d[..., 0], d[..., 1]
+        m2 = db1 * db1
+        m2 += db2 * db2
+        m = np.sqrt(m2)  # |omega| / scale
+        tau = np.tan(m * (0.25 * scale))
+        tau2 = tau * tau
+        den = tau2 + 1.0
+        np.subtract(1.0, tau2, out=pw)
+        pw /= den
+        den *= m
+        with np.errstate(invalid="ignore", divide="ignore"):
+            g = tau / den
+        g *= 2.0  # scale * sin(a/2) / a
+        small = m < _SMALL_ANGLE / scale
+        if small.any():
+            a2 = m2 * (scale * scale)
+            g = np.where(small, 0.5 * scale * (1.0 - a2 / 24.0 * (1.0 - a2 / 80.0)), g)
+        np.multiply(g, db2, out=px)
+        np.negative(px, out=px)
+        np.multiply(g, db1, out=py)
+
+    return fill
+
+
 def _kp_scan(ell_p: float, h: float, dbeta: np.ndarray, *,
              keep_path: bool = False,
              tangent_marks: tuple[int, ...] = (),
@@ -166,71 +206,18 @@ def _kp_scan(ell_p: float, h: float, dbeta: np.ndarray, *,
              want_final_frame: bool = False) -> dict:
     """Integrate a batch of frame paths from a (C, n, 2) increment array.
 
-    Tangents are frame third columns; positions accumulate by the trapezoid
-    rule ``R_k = R_{k-1} + (h/2)(Q_{k-1} + Q_k)``.  Marks are grid indices in
-    ``0..n``.  ``track_sup_rod_dev`` records ``sup_k |R_k - s_k e3|`` per
-    path.
+    Runs :func:`wormchain.so3.frame_scan`.  Tangents are frame third
+    columns; positions accumulate by the trapezoid rule ``R_k = R_{k-1} +
+    (h/2)(Q_{k-1} + Q_k)``.  Marks are grid indices in ``0..n``.
+    ``track_sup_rod_dev`` records ``sup_k |R_k - s_k e3|`` per path.
     """
     paths, n, two = dbeta.shape
     if two != 2:
         raise ValueError(f"dbeta must have shape (C, n_steps, 2), got {dbeta.shape}")
-    for m in (*tangent_marks, *position_marks):
-        if not 0 <= m <= n:
-            raise ValueError(f"grid mark {m} outside 0..{n}")
-
-    z = np.broadcast_to(np.eye(3), (paths, 3, 3)).copy()
-    q = np.broadcast_to(_E3, (paths, 3)).copy()
-    r = np.zeros((paths, 3))
-    tangents_out = {m: None for m in tangent_marks}
-    positions_out = {m: None for m in position_marks}
-    sup_dev_sq = np.zeros(paths) if track_sup_rod_dev else None
-
-    frames_all = tangents_all = positions_all = None
-    if keep_path:
-        frames_all = np.empty((paths, n + 1, 3, 3))
-        tangents_all = np.empty((paths, n + 1, 3))
-        positions_all = np.empty((paths, n + 1, 3))
-        frames_all[:, 0] = z
-        tangents_all[:, 0] = q
-        positions_all[:, 0] = r
-
-    if 0 in tangents_out:
-        tangents_out[0] = q.copy()
-    if 0 in positions_out:
-        positions_out[0] = r.copy()
-
-    for k in range(1, n + 1):
-        omega = _increment_vectors(ell_p, dbeta[:, k - 1, :])
-        z = z @ rodrigues_batch(omega)
-        if k % REORTHONORMALIZE_EVERY == 0:
-            z = mgs_orthonormalize_batch(z)
-        q_new = z[:, :, 2]
-        r = r + (0.5 * h) * (q + q_new)
-        q = q_new
-        if keep_path:
-            frames_all[:, k] = z
-            tangents_all[:, k] = q
-            positions_all[:, k] = r
-        if k in tangents_out:
-            tangents_out[k] = q.copy()
-        if k in positions_out:
-            positions_out[k] = r.copy()
-        if track_sup_rod_dev:
-            dx = r[:, 0]
-            dy = r[:, 1]
-            dz = r[:, 2] - k * h
-            np.maximum(sup_dev_sq, dx * dx + dy * dy + dz * dz, out=sup_dev_sq)
-
-    out = {"tangents": tangents_out, "positions": positions_out}
-    if track_sup_rod_dev:
-        out["sup_rod_dev"] = np.sqrt(sup_dev_sq)
-    if want_final_frame:
-        out["final_frame"] = z
-    if keep_path:
-        out["frames_all"] = frames_all
-        out["tangents_all"] = tangents_all
-        out["positions_all"] = positions_all
-    return out
+    return frame_scan(_kp_steps(ell_p, dbeta), paths, n, weights=(0.5 * h, 0.5 * h),
+                      marks=(*tangent_marks, *position_marks),
+                      rod_step=h if track_sup_rod_dev else None,
+                      want_final_frame=want_final_frame, keep_path=keep_path)
 
 
 def simulate_kp(cfg: KpConfig, rng: np.random.Generator | None = None, *,

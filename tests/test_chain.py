@@ -90,6 +90,18 @@ class TestSampleFrc:
         cos_angles = np.sum(bonds[:-1] * bonds[1:], axis=1) / cfg.bond_length**2
         assert np.max(np.abs(cos_angles - math.cos(cfg.bond_angle))) <= 1e-10
 
+    def test_long_chain_keeps_bond_lengths_and_angles(self):
+        # 10^5 bonds in one path: the scan is cut into ~316 time segments
+        # whose frames are stitched; without renormalizing each stitched
+        # frame, the constant-angle steps drift the bond lengths past 1e-12
+        cfg = FrcConfig.raw(100_000, 1.0, 1.0)
+        chain = sample_frc(cfg, path_rng(3, 0))
+        bonds = np.diff(chain.beads, axis=0)
+        lengths = np.linalg.norm(bonds, axis=1)
+        assert np.max(np.abs(lengths - 1.0)) <= 1e-12
+        cos_angles = np.sum(bonds[:-1] * bonds[1:], axis=1)
+        assert np.max(np.abs(cos_angles - math.cos(1.0))) <= 1e-10
+
     def test_matches_rotation_product_reference(self):
         # independent per-bond reference using the scalar SO(3) operations
         cfg = FrcConfig.raw(6, 0.5, 0.8)

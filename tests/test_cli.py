@@ -2,6 +2,8 @@ import csv
 import json
 import math
 import os
+import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -198,7 +200,100 @@ class TestVerify:
             (second / "report-msd.csv").read_bytes()
 
 
+class TestBadInput:
+    """Bad input ends in exit 2 with one message, before any work or warning."""
+
+    def _usage_error(self, capsys, *args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a regime warning would raise here
+            code = run_cli(*args)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        return err
+
+    def test_suite_parameters_validated_before_regime_warning(self, capsys, tmp_path):
+        err = self._usage_error(capsys, "verify", "--suite", "hard-rod", "--ell-p", -1,
+                                "--seed", 42, "--out-dir", tmp_path)
+        assert "ell_p must be positive" in err
+        err = self._usage_error(capsys, "verify", "--suite", "random-coil", "--ell-p", 1,
+                                "--n-paths", 1, "--seed", 42, "--out-dir", tmp_path)
+        assert "n_paths" in err
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one(self, capsys, tmp_path, workers):
+        err = self._usage_error(capsys, "verify", "--suite", "correlation", "--workers", workers,
+                                "--seed", 1, "--out-dir", tmp_path)
+        assert "workers" in err
+        assert not (tmp_path / "report-correlation.csv").exists()
+
+    @pytest.mark.parametrize("value", ["two", "1.5", "0"])
+    def test_bad_workers_env(self, capsys, tmp_path, monkeypatch, value):
+        monkeypatch.setenv("WORMCHAIN_WORKERS", value)
+        err = self._usage_error(capsys, "verify", "--suite", "correlation", "--seed", 1,
+                                "--out-dir", tmp_path)
+        assert "WORMCHAIN_WORKERS" in err or "workers" in err
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range(self, capsys, tmp_path, seed):
+        self._usage_error(capsys, "verify", "--suite", "correlation", "--seed", seed,
+                          "--out-dir", tmp_path)
+        self._usage_error(capsys, "simulate-kp", "--contour-length", 1, "--ell-p", 1,
+                          "--seed", seed, "--out", tmp_path / "p.csv")
+        self._usage_error(capsys, "simulate-frc", "--n-bonds", 4, "--contour-length", 1,
+                          "--kappa", 1, "--seed", seed, "--out", tmp_path / "c.csv")
+        assert not (tmp_path / "p.csv").exists() and not (tmp_path / "c.csv").exists()
+
+    def test_negative_seed_in_config_file(self, capsys, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("seed = -5\n")
+        self._usage_error(capsys, "verify", "--suite", "correlation", "--config", config,
+                          "--out-dir", tmp_path)
+
+
+class TestAttempts:
+    def test_rerun_keeps_both_attempts(self, tmp_path):
+        code = run_cli("verify", "--suite", "correlation", "--n-steps", 250,
+                       "--n-paths", 1000, "--seed", 88, "--z-threshold", 0.01,
+                       "--out-dir", tmp_path)
+        assert code == 3
+        summary = json.loads((tmp_path / "report-correlation.json").read_text())
+        attempts = summary["attempts"]
+        assert [a["seed"] for a in attempts] == [88, 89]
+        assert [a["passed"] for a in attempts] == [False, False]
+        assert all(a["wall_time_s"] > 0 and len(a["reports"]) == 3 for a in attempts)
+        assert attempts[0]["reports"] != attempts[1]["reports"]
+        # the top level still describes the deciding attempt
+        assert summary["seed"] == 89
+        assert summary["reports"] == attempts[1]["reports"]
+        assert summary["wall_time_s"] == pytest.approx(
+            sum(a["wall_time_s"] for a in attempts))
+        rows = list(csv.DictReader(
+            (tmp_path / "report-correlation.csv").read_text().splitlines()))
+        assert [float(r["estimate"]) for r in rows] == \
+            [r["estimate"] for r in attempts[1]["reports"]]
+
+    def test_first_pass_is_the_only_attempt(self, tmp_path):
+        assert run_cli("verify", "--suite", "correlation", "--n-steps", 100,
+                       "--n-paths", 300, "--seed", 42, "--out-dir", tmp_path) == 0
+        summary = json.loads((tmp_path / "report-correlation.json").read_text())
+        assert [(a["seed"], a["passed"]) for a in summary["attempts"]] == [(42, True)]
+        assert summary["attempts"][0]["reports"] == summary["reports"]
+
+
+_PLOT_DATA = pathlib.Path(__file__).parent / "data" / "plotdata"
+
+
 class TestPlotdata:
+    @pytest.mark.parametrize("name", ["report-converge", "report-correlation",
+                                      "report-hard-rod", "chain", "path"])
+    def test_output_is_byte_identical_to_recorded(self, tmp_path, name):
+        # the .plot.csv files were written by the earlier whole-file version
+        # of plotdata; reading and writing row by row must not change a byte
+        out = tmp_path / "plot.csv"
+        assert run_cli("plotdata", "--report", _PLOT_DATA / f"{name}.csv", "--out", out) == 0
+        assert out.read_bytes() == (_PLOT_DATA / f"{name}.plot.csv").read_bytes()
+
     @pytest.fixture()
     def report_csv(self, tmp_path):
         run_cli("verify", "--suite", "correlation", "--n-steps", 200,
@@ -255,6 +350,21 @@ class TestPlotdata:
         rows = list(csv.DictReader(out.open()))
         assert {r["series"] for r in rows} == {"Qx", "Qy", "Qz", "Rx", "Ry", "Rz"}
         assert sum(r["series"] == "Qz" for r in rows) == 21
+
+    def test_unknown_columns_are_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("a,b\n1,2\n")
+        out = tmp_path / "out.csv"
+        assert run_cli("plotdata", "--report", bad, "--out", out) == 2
+        assert "neither a report nor a path CSV" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_malformed_number_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("observable,s,t,estimate,stderr,oracle,z,pass\n"
+                       "qq[k1=0,k2=5],0.0,0.5,oops,0.1,0.3,0.0,True\n")
+        assert run_cli("plotdata", "--report", bad, "--out", tmp_path / "out.csv") == 2
+        assert "line 2" in capsys.readouterr().err
 
     def test_missing_input_is_io_error(self, tmp_path):
         assert run_cli("plotdata", "--report", tmp_path / "nope.csv",

@@ -10,11 +10,14 @@ from wormchain.so3 import (
     apply,
     compose,
     exp_rodrigues,
+    _qnormalize,
+    frame_scan,
     hat,
-    mgs_orthonormalize_batch,
     orthonormal_defect,
+    quat_matrix,
     reorthonormalize,
     rodrigues_batch,
+    segment_plan,
 )
 
 
@@ -184,14 +187,6 @@ class TestReorthonormalize:
         with pytest.raises(ArithmeticError):
             reorthonormalize(bad)
 
-    def test_batch_matches_scalar(self):
-        rng = np.random.default_rng(43)
-        mats = rodrigues_batch(rng.normal(size=(10, 3))) + 1e-9 * rng.normal(size=(10, 3, 3))
-        batch = mgs_orthonormalize_batch(mats)
-        for i in range(10):
-            assert np.allclose(batch[i], reorthonormalize(mats[i]).m, atol=1e-15)
-
-
 class TestTypes:
     def test_rotation_rejects_non_orthonormal(self):
         with pytest.raises(ValueError):
@@ -213,3 +208,127 @@ class TestTypes:
         s = SkewSym3(np.array([1.0, 2.0, 3.0]))
         with pytest.raises(ValueError):
             s.omega[0] = 0.0
+
+
+def _quat(omega):
+    """Component-first unit quaternions of rotation vectors ``(..., 3)``."""
+    angle = np.linalg.norm(omega, axis=-1)
+    half_sinc = 0.5 * np.sinc(angle / (2.0 * math.pi))  # sin(angle/2)/angle
+    return np.concatenate([np.cos(0.5 * angle)[None],
+                           np.moveaxis(omega * half_sinc[..., None], -1, 0)])
+
+
+class TestQuaternions:
+    def test_matrix_matches_rodrigues(self):
+        rng = np.random.default_rng(51)
+        omegas = rng.normal(size=(40, 3)) * rng.uniform(1e-7, 3.0, size=(40, 1))
+        assert np.allclose(quat_matrix(_quat(omegas)), rodrigues_batch(omegas), atol=1e-14)
+
+    def test_third_column_is_tangent(self):
+        q = _quat(np.array([0.0, math.pi / 2, 0.0]))  # quarter turn about y
+        assert np.allclose(quat_matrix(q)[:, 2], [1.0, 0.0, 0.0], atol=1e-15)
+
+    def test_batch_normalization_matches_scalar(self):
+        # the kernel's projection back onto the group: batched and one at a
+        # time agree, the result is a rotation, and it is the Gram-Schmidt
+        # projection of the drifted frame up to the size of the drift
+        rng = np.random.default_rng(43)
+        q = _quat(rng.normal(size=(10, 3))) + 1e-9 * rng.normal(size=(4, 10))
+        batch = _qnormalize(q)
+        for i in range(10):
+            single = q[:, i] / math.sqrt(sum(float(c) ** 2 for c in q[:, i]))
+            assert np.allclose(batch[:, i], single, rtol=0, atol=4e-16)
+            m = quat_matrix(batch[:, i])
+            assert orthonormal_defect(m) <= 1e-14
+            assert np.linalg.det(m) == pytest.approx(1.0, abs=1e-14)
+            assert np.allclose(m, reorthonormalize(quat_matrix(q[:, i])).m, atol=1e-8)
+
+
+def _rotvec_steps(omega):
+    """``frame_scan`` step filler for body rotation vectors ``(C, n, 3)`` with
+    zero third component."""
+    def fill(idx, pw, px, py):
+        q = _quat(omega[:, idx])
+        pw[...], px[...], py[...] = q[0], q[1], q[2]
+    return fill
+
+
+def _reference(omega, weights, rod_step):
+    """Unsegmented reference: one Rodrigues matrix product per step."""
+    paths, n, _ = omega.shape
+    c_old, c_new = weights
+    z = np.tile(np.eye(3), (paths, 1, 1))
+    r = np.zeros((paths, 3))
+    frames, positions = [z], [r]
+    sup = np.zeros(paths)
+    for k in range(1, n + 1):
+        t_old = z[:, :, 2]
+        z = z @ rodrigues_batch(omega[:, k - 1])
+        r = r + c_old * t_old + c_new * z[:, :, 2]
+        frames.append(z)
+        positions.append(r)
+        sup = np.maximum(sup, np.linalg.norm(r - [0.0, 0.0, k * rod_step], axis=1))
+    frames = np.stack(frames, axis=1)
+    return frames, frames[:, :, :, 2], np.stack(positions, axis=1), sup
+
+
+class TestFrameScan:
+    @staticmethod
+    def _omega(paths, n, seed):
+        omega = np.random.default_rng(seed).normal(scale=0.2, size=(paths, n, 3))
+        omega[..., 2] = 0.0
+        return omega
+
+    @pytest.mark.parametrize("paths,n,plan", [
+        (3, 50, (7, 8)),      # last segment holds 2 real steps
+        (2, 64, (8, 8)),      # exact split
+        (4, 10, (3, 4)),      # ragged tail of 2
+        (1, 997, (31, 33)),   # one long path
+        (700, 40, (5, 8)),    # width-capped: 700 * 5 <= 4096
+        (2100, 9, (1, 9)),    # one segment
+    ])
+    def test_segmented_matches_unsegmented_reference(self, paths, n, plan):
+        assert segment_plan(paths, n) == plan
+        segments, span = plan
+        omega = self._omega(paths, n, seed=n)
+        weights = (0.01, 0.02)
+        rod_step = 0.03
+        frames, tangents, positions, sup = _reference(omega, weights, rod_step)
+        marks = {0, n, n - 1}
+        for b in range(1, segments):
+            marks.update((b * span, b * span + 1))
+        rec = frame_scan(_rotvec_steps(omega), paths, n, weights=weights, marks=marks,
+                         rod_step=rod_step, want_final_frame=True, keep_path=True)
+        tol = dict(rtol=0, atol=1e-12)
+        assert np.allclose(rec["frames_all"], frames, **tol)
+        assert np.allclose(rec["tangents_all"], tangents, **tol)
+        assert np.allclose(rec["positions_all"], positions, **tol)
+        assert np.allclose(rec["final_frame"], frames[:, -1], **tol)
+        assert np.allclose(rec["sup_rod_dev"], sup, **tol)
+        assert set(rec["tangents"]) == marks
+        for k in marks:
+            assert np.allclose(rec["tangents"][k], tangents[:, k], **tol)
+            assert np.allclose(rec["positions"][k], positions[:, k], **tol)
+
+    def test_mark_outside_grid_rejected(self):
+        with pytest.raises(ValueError):
+            frame_scan(_rotvec_steps(np.zeros((1, 5, 3))), 1, 5, weights=(0.0, 1.0), marks=(6,))
+
+    @pytest.mark.parametrize("paths,n,expected", [
+        (83, 100_000, (49, 2041)),
+        (4096, 1000, (1, 1000)),
+        (5000, 1000, (1, 1000)),
+        (1, 1_000_000, (1000, 1000)),
+        (1, 20_000, (141, 142)),
+        (2, 3, (1, 3)),
+        (1, 0, (1, 0)),
+    ])
+    def test_plan(self, paths, n, expected):
+        assert segment_plan(paths, n) == expected
+
+    def test_plan_leaves_no_segment_empty(self):
+        for paths in (1, 2, 3, 83, 1677, 4096):
+            for n in range(1, 3000, 7):
+                segments, span = segment_plan(paths, n)
+                assert segments * paths <= max(4096, paths)
+                assert (segments - 1) * span < n <= segments * span
