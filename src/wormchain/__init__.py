@@ -5,7 +5,6 @@ SO(3) integrator for the continuum model, closed-form reference statistics,
 and a reproducible Monte Carlo engine that verifies one against the other.
 """
 from .analytics import (
-    ClosedForm,
     hard_rod_fluctuation_cov,
     kp_mean_sq_position,
     kp_tangent_correlation,

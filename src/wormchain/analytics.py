@@ -12,12 +12,8 @@ standard Brownian motion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping
 
 __all__ = [
-    "ClosedForm",
     "kp_tangent_correlation",
     "kp_mean_sq_position",
     "hard_rod_fluctuation_cov",
@@ -89,41 +85,3 @@ def random_coil_cov(s: float, t: float) -> float:
     _check_nonnegative("s", s)
     _check_nonnegative("t", t)
     return min(s, t)
-
-
-_FORMS = {
-    "kp_tangent_correlation": (kp_tangent_correlation, ("ell_p",), ("s", "t")),
-    "kp_mean_sq_position": (kp_mean_sq_position, ("ell_p",), ("t",)),
-    "hard_rod_fluctuation_cov": (hard_rod_fluctuation_cov, (), ("s", "t")),
-    "random_coil_cov": (random_coil_cov, (), ("s", "t")),
-}
-
-
-@dataclass(frozen=True)
-class ClosedForm:
-    """A named closed-form curve with bound parameters.
-
-    ``ClosedForm("kp_tangent_correlation", {"ell_p": 1.0})(s=0.0, t=0.5)``
-    evaluates the correlation; handy for emitting oracle series.
-    """
-
-    name: str
-    params: Mapping[str, float]
-
-    def __post_init__(self) -> None:
-        if self.name not in _FORMS:
-            raise ValueError(f"unknown closed form {self.name!r}; known: {sorted(_FORMS)}")
-        fn, required, _ = _FORMS[self.name]
-        missing = [p for p in required if p not in self.params]
-        if missing:
-            raise ValueError(f"{self.name} requires parameters {missing}")
-        for key, value in self.params.items():
-            if key in required:
-                _check_positive(key, value)
-        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
-
-    def __call__(self, **arguments: float) -> float:
-        fn, required, varying = _FORMS[self.name]
-        args = [self.params[p] for p in required]
-        args += [arguments[v] for v in varying]
-        return fn(*args)

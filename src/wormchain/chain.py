@@ -170,12 +170,14 @@ def _frc_steps(theta: float, phis: np.ndarray):
 
 
 def _frc_scan(cfg: FrcConfig, phis: np.ndarray, *, keep_beads: bool = False,
-              bond_marks: tuple[int, ...] = (), bead_marks: tuple[int, ...] = ()) -> dict:
+              tangent_marks: tuple[int, ...] = (),
+              position_marks: tuple[int, ...] = ()) -> dict:
     """Run the rotation-product construction for a batch of chains.
 
-    ``phis`` has shape (C, N-1), one torsion row per chain.  Returns recorded
-    unit bond directions at 1-based bond indices ``bond_marks``, bead
-    positions at ``bead_marks``, and optionally the full bead arrays.
+    ``phis`` has shape (C, N-1), one torsion row per chain.  Returns unit
+    bond directions as ``tangents`` keyed by bond number ``1..N`` and bead
+    positions as ``positions`` keyed by bead number ``0..N`` (the shape of
+    the continuum scan's record), and optionally the full bead arrays.
 
     Bond ``m`` is the frame's tangent after ``m - 1`` torsion steps of
     :func:`wormchain.so3.frame_scan`, and bead ``m >= 1`` is ``a e3`` (the
@@ -186,25 +188,25 @@ def _frc_scan(cfg: FrcConfig, phis: np.ndarray, *, keep_beads: bool = False,
     paths, n_phis = phis.shape
     if n_phis != n - 1:
         raise ValueError(f"phis must have shape (C, {n - 1}), got {phis.shape}")
-    for m in bond_marks:
+    for m in tangent_marks:
         if not 1 <= m <= n:
             raise ValueError(f"bond mark {m} outside 1..{n}")
-    for m in bead_marks:
+    for m in position_marks:
         if not 0 <= m <= n:
             raise ValueError(f"bead mark {m} outside 0..{n}")
 
     rec = frame_scan(_frc_steps(cfg.bond_angle, phis), paths, n - 1, weights=(0.0, a),
-                     marks=[m - 1 for m in (*bond_marks, *bead_marks) if m >= 1],
+                     marks=[m - 1 for m in (*tangent_marks, *position_marks) if m >= 1],
                      keep_path=keep_beads)
     first_bond = a * _E3
-    bonds_out = {m: rec["tangents"][m - 1] for m in bond_marks}
-    beads_out = {m: first_bond + rec["positions"][m - 1] if m else np.zeros((paths, 3))
-                 for m in bead_marks}
+    tangents = {m: rec["tangents"][m - 1] for m in tangent_marks}
+    positions = {m: first_bond + rec["positions"][m - 1] if m else np.zeros((paths, 3))
+                 for m in position_marks}
     beads_all = None
     if keep_beads:
         beads_all = np.concatenate(
             [np.zeros((paths, 1, 3)), first_bond + rec["positions_all"]], axis=1)
-    return {"bonds": bonds_out, "beads": beads_out, "beads_all": beads_all}
+    return {"tangents": tangents, "positions": positions, "beads_all": beads_all}
 
 
 def sample_frc(cfg: FrcConfig, rng: np.random.Generator) -> DiscreteChain:

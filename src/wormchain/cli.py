@@ -23,7 +23,6 @@ from .chain import FrcConfig, sample_frc, write_chain_csv
 from .estimators import (
     DEFAULT_Z_THRESHOLD,
     convergence_table,
-    frc_reference_suite,
     hard_rod_diagnostics,
     kp_correlation_suite,
     kp_msd_suite,
@@ -214,28 +213,19 @@ def _parse_n_list(text) -> list[int]:
 def _run_suite(suite: str, params: dict, seed: int):
     workers = params["workers"]
     threshold = params["z_threshold"]
-    if suite == "correlation":
+    if suite in ("correlation", "msd"):
         cfg = KpConfig.create(params["contour_length"], params["ell_p"], params["n_steps"])
-        return kp_correlation_suite(cfg, params["n_paths"], seed,
-                                    threshold=threshold, workers=workers)
-    if suite == "msd":
-        cfg = KpConfig.create(params["contour_length"], params["ell_p"], params["n_steps"])
-        return kp_msd_suite(cfg, params["n_paths"], seed,
-                            threshold=threshold, workers=workers)
+        run = kp_correlation_suite if suite == "correlation" else kp_msd_suite
+        return run(cfg, params["n_paths"], seed, threshold=threshold, workers=workers)
     if suite == "converge":
         return convergence_table(params["contour_length"], params["kappa"],
                                  _parse_n_list(params["n_list"]), params["n_paths"], seed,
                                  threshold=threshold, workers=workers)
-    if suite == "hard-rod":
-        return hard_rod_diagnostics(params["ell_p"], params["contour_length"],
-                                    params["n_paths"], params["grid_points"], seed,
-                                    n_steps=params["n_steps"], threshold=threshold,
-                                    workers=workers)
-    if suite == "random-coil":
-        return random_coil_diagnostics(params["ell_p"], params["contour_length"],
-                                       params["n_paths"], params["grid_points"], seed,
-                                       n_steps=params["n_steps"], threshold=threshold,
-                                       workers=workers)
+    if suite in ("hard-rod", "random-coil"):
+        run = hard_rod_diagnostics if suite == "hard-rod" else random_coil_diagnostics
+        return run(params["ell_p"], params["contour_length"], params["n_paths"],
+                   params["grid_points"], seed, n_steps=params["n_steps"],
+                   threshold=threshold, workers=workers)
     raise _UsageError(f"unknown suite {suite!r}")
 
 

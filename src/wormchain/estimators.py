@@ -9,10 +9,12 @@ oracle through a z-score.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -20,6 +22,7 @@ from .analytics import (
     hard_rod_fluctuation_cov,
     kp_mean_sq_position,
     kp_tangent_correlation,
+    random_coil_cov,
 )
 from .chain import FrcConfig, _frc_scan, frc_bond_correlation_oracle, frc_msd_oracle
 from .kp import KpConfig, _kp_scan
@@ -52,46 +55,87 @@ DEFAULT_Z_THRESHOLD = 4.0
 _CHUNK_BUDGET = 1 << 24
 _MAX_CHUNK_PATHS = MAX_SCAN_WIDTH
 
-_FRC_KINDS = {"bond_corr", "bead_msd", "bead_coord"}
-_KP_KINDS = {"tangent_dot", "path_msd", "coord_sq", "coord_prod", "incr_prod", "sup_rod_dev"}
+
+def _tangent_dot(rec, k1, k2):
+    tangents = rec["tangents"]
+    if k1 == k2:
+        # T_k . T_k is identically 1 (unit tangent); evaluate it exactly
+        return np.ones(tangents[k1].shape[0])
+    return np.sum(tangents[k1] * tangents[k2], axis=1)
+
+
+def _coord_sq(rec, i, k, center, scale):
+    x = rec["positions"][k][:, i] - center
+    return scale * x * x
+
+
+def _incr_prod(rec, i, k1, k2, scale):
+    x1, x2 = rec["positions"][k1][:, i], rec["positions"][k2][:, i]
+    return scale * (x2 - x1) * x1
+
+
+# kind -> (params that are tangent marks, params that are position marks,
+# value on a scan record); the Observable docstring tabulates it
+_KINDS = {
+    "tangent_dot": ((0, 1), (), _tangent_dot),
+    "path_msd": ((), (0,), lambda rec, k: np.sum(rec["positions"][k] ** 2, axis=1)),
+    "coord": ((), (1,), lambda rec, i, k: rec["positions"][k][:, i]),
+    "coord_sq": ((), (1,), _coord_sq),
+    "coord_prod": ((), (1, 3), lambda rec, i, k1, j, k2, scale:
+                   scale * rec["positions"][k1][:, i] * rec["positions"][k2][:, j]),
+    "incr_prod": ((), (1, 2), _incr_prod),
+    "sup_rod_dev": ((), (), lambda rec: rec["sup_rod_dev"]),
+}
 
 
 @dataclass(frozen=True)
 class Observable:
-    """A per-path scalar to accumulate.
+    """A per-path scalar read off a frame scan.
 
-    ``kind`` selects the evaluation rule; ``params`` are its arguments
-    (grid/bond indices are ints, centers and scales floats):
+    ``T_k`` and ``R_k`` are the tangent and position that the scan records
+    at mark ``k``: grid index ``0..n`` on the wormlike chain; bond number
+    ``1..N`` (tangent) and bead number ``0..N`` (position) on the chain.
+    ``kind`` selects the rule and ``params`` are its arguments (marks and
+    components are ints, centers ``c`` and scales ``w`` floats):
 
-    - ``bond_corr (k,)``          FRC: z-component of bond ``1+k`` (equals
-                                  ``Q_1 . Q_{1+k} / a^2``)
-    - ``bead_msd (m,)``           FRC: ``|R_m|^2``
-    - ``bead_coord (m, i)``       FRC: component ``i`` of bead ``m``
-    - ``tangent_dot (k1, k2)``    KP: ``Q_{k1} . Q_{k2}``
-    - ``path_msd (k,)``           KP: ``|R_k|^2``
-    - ``coord_sq (i, k, c, w)``   KP: ``w * (R_k[i] - c)^2``
-    - ``coord_prod (i, k1, j, k2, w)``  KP: ``w * R_{k1}[i] * R_{k2}[j]``
-    - ``incr_prod (i, k1, k2, w)``      KP: ``w * (R_{k2}[i] - R_{k1}[i]) * R_{k1}[i]``
-    - ``sup_rod_dev ()``          KP: ``sup_k |R_k - s_k e3|``
+    kind (params)                 tangents  positions  value
+    ``tangent_dot (k1, k2)``      k1, k2               ``T_k1 . T_k2``
+    ``path_msd (k,)``                       k          ``|R_k|^2``
+    ``coord (i, k)``                        k          ``R_k[i]``
+    ``coord_sq (i, k, c, w)``               k          ``w (R_k[i] - c)^2``
+    ``coord_prod (i, k1, j, k2, w)``        k1, k2     ``w R_k1[i] R_k2[j]``
+    ``incr_prod (i, k1, k2, w)``            k1, k2     ``w (R_k2[i] - R_k1[i]) R_k1[i]``
+    ``sup_rod_dev ()``                                 ``sup_k |R_k - s_k e3|``, KP only
+
+    On the chain bond 1 is exactly ``e3``, so ``tangent_dot (1, 1+k)`` is
+    the z-component of bond ``1+k``: the lag-``k`` bond correlation.
     """
 
     name: str
     kind: str
     params: tuple = ()
 
+    def __post_init__(self) -> None:
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown observable kind {self.kind!r}; known: {sorted(_KINDS)}")
+
+    @property
+    def tangent_marks(self) -> tuple[int, ...]:
+        return tuple(int(self.params[p]) for p in _KINDS[self.kind][0])
+
+    @property
+    def position_marks(self) -> tuple[int, ...]:
+        return tuple(int(self.params[p]) for p in _KINDS[self.kind][1])
+
+    def evaluate(self, rec: dict) -> np.ndarray:
+        """This observable's value on each path of a scan record."""
+        return _KINDS[self.kind][2](rec, *self.params)
+
 
 def path_rng(seed: int, path_index: int) -> np.random.Generator:
     """Counter-based stream for one path: Philox keyed by (seed, path_index)."""
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, path_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _merge_moments(n1: int, mean1, m2_1, n2: int, mean2, m2_2):
-    n = n1 + n2
-    delta = mean2 - mean1
-    mean = mean1 + delta * (n2 / n)
-    m2 = m2_1 + m2_2 + delta * delta * (n1 * n2 / n)
-    return n, mean, m2
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,10 +166,6 @@ class EnsembleSummary:
         m2s = np.sum((values - means) ** 2, axis=0)
         return cls(model, seed, observables, values.shape[0], means, m2s)
 
-    @property
-    def n_paths(self) -> int:
-        return self.count
-
     def _index(self, name: str) -> int:
         for i, obs in enumerate(self.observables):
             if obs.name == name:
@@ -137,11 +177,6 @@ class EnsembleSummary:
 
     def m2(self, name: str) -> float:
         return float(self.m2s[self._index(name)])
-
-    def variance(self, name: str) -> float:
-        if self.count < 2:
-            raise ValueError("variance needs at least two paths")
-        return self.m2(name) / (self.count - 1)
 
     def stderr(self, name: str) -> float:
         """Standard error of the mean: sqrt(M2 / (n (n - 1)))."""
@@ -155,115 +190,39 @@ class EnsembleSummary:
             raise ValueError("cannot merge summaries from different runs")
         if self.observables != other.observables:
             raise ValueError("cannot merge summaries with different observables")
-        n, mean, m2 = _merge_moments(
-            self.count, self.means, self.m2s, other.count, other.means, other.m2s)
-        return EnsembleSummary(self.model, self.seed, self.observables, n, mean, m2)
-
-
-def _collect_frc_marks(observables) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    bonds: set[int] = set()
-    beads: set[int] = set()
-    for obs in observables:
-        if obs.kind == "bond_corr":
-            bonds.add(1 + int(obs.params[0]))
-        elif obs.kind == "bead_msd":
-            beads.add(int(obs.params[0]))
-        elif obs.kind == "bead_coord":
-            beads.add(int(obs.params[0]))
-    return tuple(sorted(bonds)), tuple(sorted(beads))
-
-
-def _collect_kp_marks(observables):
-    tangents: set[int] = set()
-    positions: set[int] = set()
-    track_sup = False
-    for obs in observables:
-        if obs.kind == "tangent_dot":
-            tangents.update(int(p) for p in obs.params[:2])
-        elif obs.kind == "path_msd":
-            positions.add(int(obs.params[0]))
-        elif obs.kind == "coord_sq":
-            positions.add(int(obs.params[1]))
-        elif obs.kind == "coord_prod":
-            positions.add(int(obs.params[1]))
-            positions.add(int(obs.params[3]))
-        elif obs.kind == "incr_prod":
-            positions.add(int(obs.params[1]))
-            positions.add(int(obs.params[2]))
-        elif obs.kind == "sup_rod_dev":
-            track_sup = True
-    return tuple(sorted(tangents)), tuple(sorted(positions)), track_sup
-
-
-def _eval_frc(obs: Observable, rec: dict) -> np.ndarray:
-    if obs.kind == "bond_corr":
-        return rec["bonds"][1 + int(obs.params[0])][:, 2]
-    if obs.kind == "bead_msd":
-        p = rec["beads"][int(obs.params[0])]
-        return np.sum(p * p, axis=1)
-    if obs.kind == "bead_coord":
-        m, i = obs.params
-        return rec["beads"][int(m)][:, int(i)]
-    raise ValueError(f"observable kind {obs.kind!r} is not valid for a chain ensemble")
-
-
-def _eval_kp(obs: Observable, rec: dict) -> np.ndarray:
-    if obs.kind == "tangent_dot":
-        k1, k2 = (int(p) for p in obs.params[:2])
-        if k1 == k2:
-            # Q_k . Q_k is identically 1 (unit tangent); evaluate it exactly
-            return np.ones(rec["tangents"][k1].shape[0])
-        return np.sum(rec["tangents"][k1] * rec["tangents"][k2], axis=1)
-    if obs.kind == "path_msd":
-        p = rec["positions"][int(obs.params[0])]
-        return np.sum(p * p, axis=1)
-    if obs.kind == "coord_sq":
-        i, k, center, scale = obs.params
-        x = rec["positions"][int(k)][:, int(i)] - center
-        return scale * x * x
-    if obs.kind == "coord_prod":
-        i, k1, j, k2, scale = obs.params
-        return scale * rec["positions"][int(k1)][:, int(i)] * rec["positions"][int(k2)][:, int(j)]
-    if obs.kind == "incr_prod":
-        i, k1, k2, scale = obs.params
-        x1 = rec["positions"][int(k1)][:, int(i)]
-        x2 = rec["positions"][int(k2)][:, int(i)]
-        return scale * (x2 - x1) * x1
-    if obs.kind == "sup_rod_dev":
-        return rec["sup_rod_dev"]
-    raise ValueError(f"observable kind {obs.kind!r} is not valid for a wormlike-chain ensemble")
+        n = self.count + other.count
+        delta = other.means - self.means
+        means = self.means + delta * (other.count / n)
+        m2s = self.m2s + other.m2s + delta * delta * (self.count * other.count / n)
+        return EnsembleSummary(self.model, self.seed, self.observables, n, means, m2s)
 
 
 def _chunk_values(model, observables: tuple[Observable, ...], seed: int,
                   start: int, stop: int) -> np.ndarray:
     paths = stop - start
+    marks = {
+        "tangent_marks": tuple(sorted({k for obs in observables for k in obs.tangent_marks})),
+        "position_marks": tuple(sorted({k for obs in observables for k in obs.position_marks})),
+    }
     if isinstance(model, FrcConfig):
         n_phis = model.n_bonds - 1
         phis = np.empty((paths, n_phis))
         for row, index in enumerate(range(start, stop)):
             phis[row] = path_rng(seed, index).uniform(0.0, 2.0 * math.pi, size=n_phis)
-        bond_marks, bead_marks = _collect_frc_marks(observables)
-        rec = _frc_scan(model, phis, bond_marks=bond_marks, bead_marks=bead_marks)
-        columns = [_eval_frc(obs, rec) for obs in observables]
+        rec = _frc_scan(model, phis, **marks)
     else:
         sqrt_h = math.sqrt(model.h)
         dbeta = np.empty((paths, model.n_steps, 2))
         for row, index in enumerate(range(start, stop)):
             dbeta[row] = path_rng(seed, index).normal(0.0, sqrt_h, size=(model.n_steps, 2))
-        tangent_marks, position_marks, track_sup = _collect_kp_marks(observables)
-        rec = _kp_scan(model.ell_p, model.h, dbeta,
-                       tangent_marks=tangent_marks,
-                       position_marks=position_marks,
-                       track_sup_rod_dev=track_sup)
-        columns = [_eval_kp(obs, rec) for obs in observables]
-    return np.stack(columns, axis=1)
+        rec = _kp_scan(model.ell_p, model.h, dbeta, **marks,
+                       track_sup_rod_dev=any(obs.kind == "sup_rod_dev" for obs in observables))
+    return np.stack([obs.evaluate(rec) for obs in observables], axis=1)
 
 
-def _ensemble_chunk(model, observables, seed, start, stop):
-    values = _chunk_values(model, observables, seed, start, stop)
-    means = values.mean(axis=0)
-    m2s = np.sum((values - means) ** 2, axis=0)
-    return stop - start, means, m2s
+def _ensemble_chunk(model, observables, seed, start, stop) -> EnsembleSummary:
+    return EnsembleSummary.from_values(
+        model, seed, observables, _chunk_values(model, observables, seed, start, stop))
 
 
 def _chunk_ranges(model, n_paths: int) -> list[tuple[int, int]]:
@@ -297,27 +256,19 @@ def run_ensemble(model, n_paths: int, observables, seed: int, *,
     names = [obs.name for obs in observables]
     if len(set(names)) != len(names):
         raise ValueError("observable names must be unique")
-    allowed = _FRC_KINDS if isinstance(model, FrcConfig) else _KP_KINDS
-    for obs in observables:
-        if obs.kind not in allowed:
-            raise ValueError(f"observable kind {obs.kind!r} not valid for {type(model).__name__}")
+    if isinstance(model, FrcConfig) and any(obs.kind == "sup_rod_dev" for obs in observables):
+        raise ValueError("observable kind 'sup_rod_dev' is not valid for FrcConfig")
 
-    ranges = _chunk_ranges(model, n_paths)
-    if workers and workers > 1 and len(ranges) > 1:
+    starts, stops = zip(*_chunk_ranges(model, n_paths))
+    chunks = ([model] * len(starts), [observables] * len(starts), [seed] * len(starts),
+              starts, stops)
+    if workers and workers > 1 and len(starts) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                _ensemble_chunk,
-                (model for _ in ranges), (observables for _ in ranges),
-                (seed for _ in ranges),
-                (r[0] for r in ranges), (r[1] for r in ranges)))
+            parts = list(pool.map(_ensemble_chunk, *chunks))
     else:
-        parts = [_ensemble_chunk(model, observables, seed, start, stop)
-                 for start, stop in ranges]
+        parts = list(map(_ensemble_chunk, *chunks))
 
-    count, means, m2s = parts[0]
-    for other_count, other_means, other_m2s in parts[1:]:
-        count, means, m2s = _merge_moments(count, means, m2s, other_count, other_means, other_m2s)
-    return EnsembleSummary(model, seed, observables, count, means, m2s)
+    return functools.reduce(EnsembleSummary.merge, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -379,11 +330,75 @@ def _info_report(name: str, estimate: float, oracle: float, *, s: float | None =
     return _make_report(name, estimate, 0.0, oracle, math.inf, s=s, t=t)
 
 
+@dataclass(frozen=True)
+class _Check:
+    """A z-tested row: ``scale`` times the mean of ``obs`` against ``oracle``."""
+
+    obs: Observable
+    oracle: float
+    s: float | None = None
+    t: float | None = None
+    scale: float = 1.0
+
+    @property
+    def reads(self) -> tuple[Observable, ...]:
+        return (self.obs,)
+
+    def report(self, summary: EnsembleSummary, threshold: float) -> ComparisonReport:
+        name = self.obs.name
+        return _make_report(name, self.scale * summary.mean(name),
+                            self.scale * summary.stderr(name), self.oracle, threshold,
+                            s=self.s, t=self.t)
+
+
+@dataclass(frozen=True)
+class _Bound:
+    """A deterministic row: ``value(*means of reads) <= bound``."""
+
+    name: str
+    reads: tuple[Observable, ...]
+    value: Callable[..., float]
+    bound: float
+    s: float | None = None
+
+    def report(self, summary: EnsembleSummary, threshold: float) -> ComparisonReport:
+        value = self.value(*(summary.mean(obs.name) for obs in self.reads))
+        return _bound_report(self.name, value, self.bound, threshold, s=self.s)
+
+
+def _run_rows(model, n_paths: int, seed: int, rows, threshold: float,
+              workers: int) -> list[ComparisonReport]:
+    """Run one ensemble over what ``rows`` read and report the rows in order.
+
+    A row is a :class:`_Check`, a :class:`_Bound` or a finished
+    closed-form :class:`ComparisonReport`.  Rows whose arclengths snapped
+    onto one grid point share a name; each name is reported once, first
+    row first.
+    """
+    observables: dict[str, Observable] = {}
+    for row in rows:
+        if not isinstance(row, ComparisonReport):
+            for obs in row.reads:
+                observables.setdefault(obs.name, obs)
+    summary = run_ensemble(model, n_paths, observables.values(), seed, workers=workers)
+    reports: dict[str, ComparisonReport] = {}
+    for row in rows:
+        report = row if isinstance(row, ComparisonReport) else row.report(summary, threshold)
+        reports.setdefault(report.observable, report)
+    return list(reports.values())
+
+
 def _snap_index(cfg: KpConfig, s: float, name: str = "s") -> int:
+    """Nearest grid index of arclength ``s``; a positive ``s`` must not
+    snap onto the origin, where every observable is trivially exact."""
     length = cfg.contour_length
     if not (math.isfinite(s) and -1e-9 * length <= s <= length * (1.0 + 1e-12) + 1e-9 * length):
         raise ValueError(f"{name} = {s!r} outside [0, {length!r}]")
-    return min(max(int(round(s / cfg.h)), 0), cfg.n_steps)
+    k = min(max(int(round(s / cfg.h)), 0), cfg.n_steps)
+    if k == 0 and s > 0.0:
+        raise ValueError(f"{name} = {s!r} snaps to grid index 0 (grid step {cfg.h!r}); "
+                         f"use more steps")
+    return k
 
 
 def tangent_dot_observable(cfg: KpConfig, s: float, t: float) -> Observable:
@@ -399,38 +414,32 @@ def msd_observable(cfg: KpConfig, t: float) -> Observable:
     return Observable(f"msd[k={k}]", "path_msd", (k,))
 
 
+def _tangent_check(cfg: KpConfig, s: float, t: float) -> _Check:
+    obs = tangent_dot_observable(cfg, s, t)
+    s_snap, t_snap = (k * cfg.h for k in obs.params)
+    return _Check(obs, kp_tangent_correlation(cfg.ell_p, s_snap, t_snap), s=s_snap, t=t_snap)
+
+
+def _msd_check(cfg: KpConfig, t: float) -> _Check:
+    obs = msd_observable(cfg, t)
+    t_snap = obs.params[0] * cfg.h
+    return _Check(obs, kp_mean_sq_position(cfg.ell_p, t_snap), t=t_snap)
+
+
 def estimate_tangent_correlation(summary: EnsembleSummary, s: float, t: float, *,
                                  threshold: float = DEFAULT_Z_THRESHOLD) -> ComparisonReport:
     """Compare the Monte Carlo mean of Q_s . Q_t to exp(-2|t-s|/ell_p)."""
-    cfg = summary.model
-    if not isinstance(cfg, KpConfig):
+    if not isinstance(summary.model, KpConfig):
         raise ValueError("tangent correlation estimates need a wormlike-chain summary")
-    obs = tangent_dot_observable(cfg, s, t)
-    s_snap = obs.params[0] * cfg.h
-    t_snap = obs.params[1] * cfg.h
-    oracle = kp_tangent_correlation(cfg.ell_p, s_snap, t_snap)
-    return _make_report(obs.name, summary.mean(obs.name), summary.stderr(obs.name),
-                        oracle, threshold, s=s_snap, t=t_snap)
+    return _tangent_check(summary.model, s, t).report(summary, threshold)
 
 
 def estimate_msd(summary: EnsembleSummary, t: float, *,
                  threshold: float = DEFAULT_Z_THRESHOLD) -> ComparisonReport:
     """Compare the Monte Carlo mean of |R_t|^2 to the closed form."""
-    cfg = summary.model
-    if not isinstance(cfg, KpConfig):
+    if not isinstance(summary.model, KpConfig):
         raise ValueError("mean-squared-position estimates need a wormlike-chain summary")
-    obs = msd_observable(cfg, t)
-    t_snap = obs.params[0] * cfg.h
-    oracle = kp_mean_sq_position(cfg.ell_p, t_snap)
-    return _make_report(obs.name, summary.mean(obs.name), summary.stderr(obs.name),
-                        oracle, threshold, t=t_snap)
-
-
-def _dedupe(observables) -> tuple[Observable, ...]:
-    seen: dict[str, Observable] = {}
-    for obs in observables:
-        seen.setdefault(obs.name, obs)
-    return tuple(seen.values())
+    return _msd_check(summary.model, t).report(summary, threshold)
 
 
 def kp_correlation_suite(cfg: KpConfig, n_paths: int, seed: int, *,
@@ -440,16 +449,8 @@ def kp_correlation_suite(cfg: KpConfig, n_paths: int, seed: int, *,
     if s_values is None:
         length = cfg.contour_length
         s_values = (length / 4.0, length / 2.0, length)
-    observables = _dedupe(tangent_dot_observable(cfg, 0.0, s) for s in s_values)
-    summary = run_ensemble(cfg, n_paths, observables, seed, workers=workers)
-    seen: set[str] = set()
-    reports = []
-    for s in s_values:
-        report = estimate_tangent_correlation(summary, 0.0, s, threshold=threshold)
-        if report.observable not in seen:
-            seen.add(report.observable)
-            reports.append(report)
-    return reports
+    rows = [_tangent_check(cfg, 0.0, s) for s in s_values]
+    return _run_rows(cfg, n_paths, seed, rows, threshold, workers)
 
 
 def kp_msd_suite(cfg: KpConfig, n_paths: int, seed: int, *,
@@ -459,16 +460,8 @@ def kp_msd_suite(cfg: KpConfig, n_paths: int, seed: int, *,
     if t_values is None:
         length = cfg.contour_length
         t_values = (length / 2.0, length)
-    observables = _dedupe(msd_observable(cfg, t) for t in t_values)
-    summary = run_ensemble(cfg, n_paths, observables, seed, workers=workers)
-    seen: set[str] = set()
-    reports = []
-    for t in t_values:
-        report = estimate_msd(summary, t, threshold=threshold)
-        if report.observable not in seen:
-            seen.add(report.observable)
-            reports.append(report)
-    return reports
+    rows = [_msd_check(cfg, t) for t in t_values]
+    return _run_rows(cfg, n_paths, seed, rows, threshold, workers)
 
 
 def frc_reference_suite(cfg: FrcConfig, n_paths: int, seed: int, *,
@@ -484,28 +477,16 @@ def frc_reference_suite(cfg: FrcConfig, n_paths: int, seed: int, *,
     lags = tuple(int(k) for k in lags if 0 <= int(k) <= n - 1)
     if not lags:
         raise ValueError(f"no usable lags for a chain of {n} bonds")
-    observables = [Observable(f"frc-corr[k={k}]", "bond_corr", (k,)) for k in lags]
-    observables.append(Observable(f"frc-msd[n={n}]", "bead_msd", (n,)))
+    length = cfg.contour_length
+    rows = [_Check(Observable(f"frc-corr[k={k}]", "tangent_dot", (1, 1 + k)),
+                   frc_bond_correlation_oracle(cfg.bond_angle, k), s=k * cfg.bond_length)
+            for k in lags]
+    rows.append(_Check(Observable(f"frc-msd[n={n}]", "path_msd", (n,)), frc_msd_oracle(cfg),
+                       t=length))
     if include_symmetry:
-        observables.append(Observable(f"frc-meanx[n={n}]", "bead_coord", (n, 0)))
-        observables.append(Observable(f"frc-meany[n={n}]", "bead_coord", (n, 1)))
-    summary = run_ensemble(cfg, n_paths, _dedupe(observables), seed, workers=workers)
-
-    reports = []
-    for k in lags:
-        name = f"frc-corr[k={k}]"
-        reports.append(_make_report(name, summary.mean(name), summary.stderr(name),
-                                    frc_bond_correlation_oracle(cfg.bond_angle, k),
-                                    threshold, s=k * cfg.bond_length))
-    name = f"frc-msd[n={n}]"
-    reports.append(_make_report(name, summary.mean(name), summary.stderr(name),
-                                frc_msd_oracle(cfg), threshold, t=cfg.contour_length))
-    if include_symmetry:
-        for axis, label in ((0, "x"), (1, "y")):
-            name = f"frc-mean{label}[n={n}]"
-            reports.append(_make_report(name, summary.mean(name), summary.stderr(name),
-                                        0.0, threshold, t=cfg.contour_length))
-    return reports
+        rows += [_Check(Observable(f"frc-mean{label}[n={n}]", "coord", (axis, n)), 0.0, t=length)
+                 for axis, label in ((0, "x"), (1, "y"))]
+    return _run_rows(cfg, n_paths, seed, rows, threshold, workers)
 
 
 def _monotone_gap_report(name: str, gaps: list[float],
@@ -541,35 +522,24 @@ def convergence_table(contour_length: float, kappa: float, n_list, n_paths: int,
 
     for n in n_list:
         cfg = FrcConfig.scaled(n, contour_length, kappa)
-        lag_of = {f: min(n - 1, int(round(f * n))) for f in fractions}
-        observables = [Observable(f"frc-corr[N={n},k={k}]", "bond_corr", (k,))
-                       for k in sorted(set(lag_of.values()))]
-        observables.append(Observable(f"frc-msd[N={n}]", "bead_msd", (n,)))
-        summary = run_ensemble(cfg, n_paths, _dedupe(observables), seed, workers=workers)
-
-        emitted: set[str] = set()
+        rows = []
         for f in fractions:
-            k = lag_of[f]
+            k = min(n - 1, int(round(f * n)))
             s_frc = k * cfg.bond_length
             frc_oracle = frc_bond_correlation_oracle(cfg.bond_angle, k)
             kp_oracle = kp_tangent_correlation(ell_p, 0.0, s_frc)
             corr_gaps[f].append(abs(frc_oracle - kp_oracle))
-            name = f"frc-corr[N={n},k={k}]"
-            if name not in emitted:
-                emitted.add(name)
-                reports.append(_make_report(name, summary.mean(name), summary.stderr(name),
-                                            frc_oracle, threshold, s=s_frc))
-            reports.append(_info_report(f"kp-gap-corr[N={n},f={f}]", frc_oracle,
-                                        kp_oracle, s=s_frc))
-
+            rows.append(_Check(Observable(f"frc-corr[N={n},k={k}]", "tangent_dot", (1, 1 + k)),
+                               frc_oracle, s=s_frc))
+            rows.append(_info_report(f"kp-gap-corr[N={n},f={f}]", frc_oracle, kp_oracle,
+                                     s=s_frc))
         frc_msd = frc_msd_oracle(cfg)
         kp_msd = kp_mean_sq_position(ell_p, cfg.contour_length)
         msd_gaps.append(abs(frc_msd - kp_msd))
-        name = f"frc-msd[N={n}]"
-        reports.append(_make_report(name, summary.mean(name), summary.stderr(name),
-                                    frc_msd, threshold, t=cfg.contour_length))
-        reports.append(_info_report(f"kp-gap-msd[N={n}]", frc_msd, kp_msd,
-                                    t=cfg.contour_length))
+        rows.append(_Check(Observable(f"frc-msd[N={n}]", "path_msd", (n,)), frc_msd,
+                           t=cfg.contour_length))
+        rows.append(_info_report(f"kp-gap-msd[N={n}]", frc_msd, kp_msd, t=cfg.contour_length))
+        reports += _run_rows(cfg, n_paths, seed, rows, threshold, workers)
 
     if len(n_list) >= 2:
         for f in fractions:
@@ -587,6 +557,12 @@ def _diagnostics_config(contour_length: float, ell_p: float, n_steps, n_paths: i
         raise ValueError(f"grid_points must be >= 1, got {grid_points!r}")
     _check_n_paths(n_paths)
     return KpConfig.create(contour_length, ell_p, n_steps)
+
+
+def _rod_ratio(var1: float, var2: float, var3: float) -> float:
+    """Longitudinal over mean transverse fluctuation."""
+    transverse = 0.5 * (var1 + var2)
+    return var3 / transverse if transverse > 0.0 else math.inf
 
 
 def hard_rod_diagnostics(ell_p: float, contour_length: float, n_paths: int,
@@ -607,36 +583,22 @@ def hard_rod_diagnostics(ell_p: float, contour_length: float, n_paths: int,
     bound.
     """
     cfg = _diagnostics_config(contour_length, ell_p, n_steps, n_paths, grid_points)
+    rows = []
+    for j in range(1, grid_points + 1):
+        k = _snap_index(cfg, j * contour_length / grid_points)
+        s_snap = k * cfg.h
+        oracle = 2.0 * hard_rod_fluctuation_cov(s_snap, s_snap)
+        var = tuple(Observable(f"rodvar{i + 1}[k={k}]", "coord_sq", (i, k, center, ell_p))
+                    for i, center in enumerate((0.0, 0.0, s_snap)))
+        rows += [_Check(var[0], oracle, s=s_snap), _Check(var[1], oracle, s=s_snap),
+                 _Bound(f"rodvar3-ratio[k={k}]", var, _rod_ratio,
+                        third_component_ratio_bound, s=s_snap)]
+    rows.append(_Bound("rodsup", (Observable("rodsup", "sup_rod_dev"),), float, sup_bound))
     if ell_p < 100.0 * contour_length:
         warnings.warn(
             f"hard-rod diagnostics expect ell_p >= 100*L; got ell_p={ell_p!r}, L={contour_length!r}",
             RuntimeWarning, stacklevel=2)
-    s_values = [j * contour_length / grid_points for j in range(1, grid_points + 1)]
-
-    observables = []
-    per_s: list[tuple[float, int]] = []
-    for s in s_values:
-        k = _snap_index(cfg, s)
-        per_s.append((k * cfg.h, k))
-        observables.append(Observable(f"rodvar1[k={k}]", "coord_sq", (0, k, 0.0, ell_p)))
-        observables.append(Observable(f"rodvar2[k={k}]", "coord_sq", (1, k, 0.0, ell_p)))
-        observables.append(Observable(f"rodvar3[k={k}]", "coord_sq", (2, k, k * cfg.h, ell_p)))
-    observables.append(Observable("rodsup", "sup_rod_dev", ()))
-    summary = run_ensemble(cfg, n_paths, _dedupe(observables), seed, workers=workers)
-
-    reports = []
-    for s_snap, k in per_s:
-        oracle = 2.0 * hard_rod_fluctuation_cov(s_snap, s_snap)
-        for comp in (1, 2):
-            name = f"rodvar{comp}[k={k}]"
-            reports.append(_make_report(name, summary.mean(name), summary.stderr(name),
-                                        oracle, threshold, s=s_snap))
-        transverse = 0.5 * (summary.mean(f"rodvar1[k={k}]") + summary.mean(f"rodvar2[k={k}]"))
-        ratio = summary.mean(f"rodvar3[k={k}]") / transverse if transverse > 0.0 else math.inf
-        reports.append(_bound_report(f"rodvar3-ratio[k={k}]", ratio,
-                                     third_component_ratio_bound, threshold, s=s_snap))
-    reports.append(_bound_report("rodsup", summary.mean("rodsup"), sup_bound, threshold))
-    return reports
+    return _run_rows(cfg, n_paths, seed, rows, threshold, workers)
 
 
 def random_coil_diagnostics(ell_p: float, contour_length: float, n_paths: int,
@@ -646,91 +608,55 @@ def random_coil_diagnostics(ell_p: float, contour_length: float, n_paths: int,
                             workers: int = 1) -> list[ComparisonReport]:
     """Flexible-limit diagnostics: the rescaled curve behaves as Brownian motion.
 
-    Per-component variances of ``sqrt(3/ell_p) R_s`` against ``min(s, s)``,
-    cross-component covariances and increment correlations against zero,
-    and the summed variance against the exact mean-squared-position form.
+    Per-component variances of ``sqrt(3/ell_p) R_s`` against
+    ``random_coil_cov(s, s) = s``, cross-component covariances and
+    increment correlations against zero, and the summed variance against the
+    exact mean-squared-position form.
     """
     cfg = _diagnostics_config(contour_length, ell_p, n_steps, n_paths, grid_points)
+    scale = 3.0 / ell_p
+    rows = []
+    for g in range(1, grid_points + 1):
+        s = g * contour_length / grid_points
+        k = _snap_index(cfg, s)
+        k_half = _snap_index(cfg, s / 2.0, "s/2")
+        s_snap = k * cfg.h
+        rows += [_Check(Observable(f"coilvar{i + 1}[k={k}]", "coord_sq", (i, k, 0.0, scale)),
+                        random_coil_cov(s_snap, s_snap), s=s_snap) for i in range(3)]
+        rows += [_Check(Observable(f"coilcov{i + 1}{j + 1}[k={k}]", "coord_prod",
+                                   (i, k, j, k, scale)), 0.0, s=s_snap)
+                 for i, j in ((0, 1), (0, 2), (1, 2))]
+        rows += [_Check(Observable(f"coilincr{i + 1}[k={k}]", "incr_prod",
+                                   (i, k_half, k, scale)), 0.0, s=s_snap) for i in range(3)]
+        rows.append(_Check(Observable(f"coilsum[k={k}]", "path_msd", (k,)),
+                           scale * kp_mean_sq_position(ell_p, s_snap), s=s_snap, scale=scale))
     if ell_p > contour_length / 100.0:
         warnings.warn(
             f"random-coil diagnostics expect ell_p <= L/100; got ell_p={ell_p!r}, L={contour_length!r}",
             RuntimeWarning, stacklevel=2)
-    scale = 3.0 / ell_p
-    s_values = [j * contour_length / grid_points for j in range(1, grid_points + 1)]
-
-    observables = []
-    per_s: list[tuple[float, int, int]] = []
-    for s in s_values:
-        k = _snap_index(cfg, s)
-        k_half = _snap_index(cfg, s / 2.0)
-        per_s.append((k * cfg.h, k, k_half))
-        for i in range(3):
-            observables.append(Observable(f"coilvar{i + 1}[k={k}]", "coord_sq",
-                                          (i, k, 0.0, scale)))
-            observables.append(Observable(f"coilincr{i + 1}[k={k}]", "incr_prod",
-                                          (i, k_half, k, scale)))
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            observables.append(Observable(f"coilcov{i + 1}{j + 1}[k={k}]", "coord_prod",
-                                          (i, k, j, k, scale)))
-        observables.append(Observable(f"coilsum[k={k}]", "path_msd", (k,)))
-    summary = run_ensemble(cfg, n_paths, _dedupe(observables), seed, workers=workers)
-
-    reports = []
-    for s_snap, k, _k_half in per_s:
-        for i in range(3):
-            name = f"coilvar{i + 1}[k={k}]"
-            reports.append(_make_report(name, summary.mean(name), summary.stderr(name),
-                                        min(s_snap, s_snap), threshold, s=s_snap))
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            name = f"coilcov{i + 1}{j + 1}[k={k}]"
-            reports.append(_make_report(name, summary.mean(name), summary.stderr(name),
-                                        0.0, threshold, s=s_snap))
-        for i in range(3):
-            name = f"coilincr{i + 1}[k={k}]"
-            reports.append(_make_report(name, summary.mean(name), summary.stderr(name),
-                                        0.0, threshold, s=s_snap))
-        name = f"coilsum[k={k}]"
-        reports.append(_make_report(name, scale * summary.mean(name),
-                                    scale * summary.stderr(name),
-                                    scale * kp_mean_sq_position(ell_p, s_snap),
-                                    threshold, s=s_snap))
-    return reports
+    return _run_rows(cfg, n_paths, seed, rows, threshold, workers)
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
+def reports_to_dicts(reports) -> list[dict]:
+    """Report rows as dicts under the report-file names (``z``, ``pass``)."""
+    renamed = {"z_score": "z", "passed": "pass"}
+    return [{renamed.get(key, key): value for key, value in asdict(r).items()}
+            for r in reports]
+
+
+_CSV_COLUMNS = ("observable", "s", "t", "estimate", "stderr", "oracle", "z", "pass")
+
+
 def write_reports_csv(reports, fileobj) -> None:
-    """Columns: observable, s, t, estimate, stderr, oracle, z, pass."""
+    """Columns: observable, s, t, estimate, stderr, oracle, z, pass; numbers
+    as ``repr`` (exact round trip), a missing arclength as an empty cell."""
     import csv
 
     writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(["observable", "s", "t", "estimate", "stderr", "oracle", "z", "pass"])
-    for report in reports:
-        writer.writerow([
-            report.observable,
-            "" if report.s is None else repr(report.s),
-            "" if report.t is None else repr(report.t),
-            repr(report.estimate),
-            repr(report.stderr),
-            repr(report.oracle),
-            repr(report.z_score),
-            str(report.passed),
-        ])
-
-
-def reports_to_dicts(reports) -> list[dict]:
-    return [
-        {
-            "observable": r.observable,
-            "s": r.s,
-            "t": r.t,
-            "estimate": r.estimate,
-            "stderr": r.stderr,
-            "oracle": r.oracle,
-            "z": r.z_score,
-            "threshold": r.threshold,
-            "pass": r.passed,
-        }
-        for r in reports
-    ]
+    writer.writerow(_CSV_COLUMNS)
+    for row in reports_to_dicts(reports):
+        writer.writerow(["" if row[c] is None else row[c] if c == "observable" else repr(row[c])
+                         for c in _CSV_COLUMNS])

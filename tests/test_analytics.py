@@ -5,7 +5,6 @@ import pytest
 from scipy import integrate
 
 from wormchain.analytics import (
-    ClosedForm,
     hard_rod_fluctuation_cov,
     kp_mean_sq_position,
     kp_tangent_correlation,
@@ -158,21 +157,3 @@ class TestRandomCoilCov:
         for lp in (1e-4, 1e-6):
             scaled = (3.0 / lp) * kp_mean_sq_position(lp, s) / 3.0
             assert scaled == pytest.approx(random_coil_cov(s, s), rel=1e-3 * lp / 1e-4)
-
-
-class TestClosedForm:
-    def test_evaluates_bound_parameters(self):
-        form = ClosedForm("kp_tangent_correlation", {"ell_p": 2.0})
-        assert form(s=0.0, t=1.0) == pytest.approx(math.exp(-1.0))
-
-    def test_parameterless_form(self):
-        form = ClosedForm("hard_rod_fluctuation_cov", {})
-        assert form(s=1.0, t=1.0) == pytest.approx(1.0 / 3.0)
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
-            ClosedForm("not_a_form", {})
-
-    def test_missing_parameter_rejected(self):
-        with pytest.raises(ValueError):
-            ClosedForm("kp_mean_sq_position", {})

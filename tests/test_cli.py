@@ -15,13 +15,18 @@ def run_cli(*args):
     return main([str(a) for a in args])
 
 
+def read_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
 class TestSimulateFrc:
     def test_single_bond_chain(self, tmp_path):
         out = tmp_path / "c.csv"
         code = run_cli("simulate-frc", "--n-bonds", 1, "--contour-length", 1,
                        "--kappa", 1, "--seed", 7, "--out", out)
         assert code == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = read_rows(out)
         assert len(rows) == 2
         last = rows[-1]
         assert (float(last["x"]), float(last["y"]), float(last["z"])) == (0.0, 0.0, 1.0)
@@ -63,7 +68,7 @@ class TestSimulateKp:
         code = run_cli("simulate-kp", "--contour-length", 1, "--ell-p", 1,
                        "--n-steps", 100, "--seed", 3, "--out", out)
         assert code == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = read_rows(out)
         assert len(rows) == 101
         first = rows[0]
         assert float(first["s"]) == 0.0
@@ -74,7 +79,7 @@ class TestSimulateKp:
         out = tmp_path / "p.csv"
         run_cli("simulate-kp", "--contour-length", 1, "--ell-p", 0.5,
                 "--n-steps", 200, "--seed", 4, "--out", out)
-        for row in csv.DictReader(out.open()):
+        for row in read_rows(out):
             q = np.array([float(row["Qx"]), float(row["Qy"]), float(row["Qz"])])
             assert abs(np.linalg.norm(q) - 1.0) <= 1e-10
 
@@ -97,7 +102,7 @@ class TestVerify:
                        "--contour-length", 1, "--n-steps", 250, "--n-paths", 800,
                        "--seed", 42, "--out-dir", tmp_path)
         assert code == 0
-        rows = list(csv.DictReader((tmp_path / "report-correlation.csv").open()))
+        rows = read_rows(tmp_path / "report-correlation.csv")
         assert len(rows) == 3
         last = next(r for r in rows if float(r["t"]) == 1.0)
         assert float(last["oracle"]) == pytest.approx(math.exp(-2.0), abs=1e-12)
@@ -122,10 +127,16 @@ class TestVerify:
                        "--n-steps", 200, "--grid-points", 1, "--seed", 10,
                        "--out-dir", tmp_path)
         assert code == 0
-        rows = list(csv.DictReader((tmp_path / "report-hard-rod.csv").open()))
+        rows = read_rows(tmp_path / "report-hard-rod.csv")
         for prefix in ("rodvar1", "rodvar2"):
             assert any(r["observable"].startswith(prefix) for r in rows)
         assert all(r["pass"] == "True" for r in rows)
+
+    def test_collapsed_grid_points_report_each_row_once(self, tmp_path):
+        run_cli("verify", "--suite", "hard-rod", "--n-steps", 10, "--grid-points", 16,
+                "--n-paths", 200, "--seed", 4, "--out-dir", tmp_path)
+        names = [r["observable"] for r in read_rows(tmp_path / "report-hard-rod.csv")]
+        assert len(names) == len(set(names)) == 3 * 10 + 1
 
     def test_empty_grid_is_usage_error(self, tmp_path):
         # with no grid points only the sup row would remain, and that must
@@ -145,7 +156,7 @@ class TestVerify:
         code = run_cli("verify", "--suite", "converge", "--n-list", "8,32",
                        "--n-paths", 400, "--seed", 13, "--out-dir", tmp_path)
         assert code == 0
-        rows = list(csv.DictReader((tmp_path / "report-converge.csv").open()))
+        rows = read_rows(tmp_path / "report-converge.csv")
         assert any(r["observable"].startswith("kp-gap-corr[N=8") for r in rows)
         assert any(r["observable"].startswith("gap-monotone") for r in rows)
 
@@ -244,6 +255,20 @@ class TestBadInput:
                           "--kappa", 1, "--seed", seed, "--out", tmp_path / "c.csv")
         assert not (tmp_path / "p.csv").exists() and not (tmp_path / "c.csv").exists()
 
+    @pytest.mark.parametrize("suite", ["msd", "correlation"])
+    def test_arclength_snapping_to_origin(self, capsys, tmp_path, suite):
+        # one step: t = L/2 (msd) and s = L/4 (correlation) round to index 0
+        err = self._usage_error(capsys, "verify", "--suite", suite, "--n-steps", 1,
+                                "--n-paths", 100, "--seed", 1, "--out-dir", tmp_path)
+        assert "snaps to grid index 0" in err
+        assert not (tmp_path / f"report-{suite}.csv").exists()
+
+    def test_snapping_is_checked_before_regime_warning(self, capsys, tmp_path):
+        err = self._usage_error(capsys, "verify", "--suite", "random-coil", "--ell-p", 1,
+                                "--n-steps", 3, "--grid-points", 4, "--n-paths", 100,
+                                "--seed", 1, "--out-dir", tmp_path)
+        assert "snaps to grid index 0" in err
+
     def test_negative_seed_in_config_file(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("seed = -5\n")
@@ -282,6 +307,40 @@ class TestAttempts:
 
 
 _PLOT_DATA = pathlib.Path(__file__).parent / "data" / "plotdata"
+_REPORT_DATA = pathlib.Path(__file__).parent / "data" / "reports"
+
+# The recorded reports were written by an earlier version of the package with
+# exactly these arguments; the estimators must keep every row.
+_RECORDED_RUNS = {
+    "correlation": ("--n-paths", 300, "--n-steps", 200),
+    "msd": ("--n-paths", 300, "--n-steps", 200),
+    "converge": ("--n-list", "8,32", "--n-paths", 300),
+    "hard-rod": ("--n-paths", 300, "--n-steps", 200, "--grid-points", 2),
+    "random-coil": ("--ell-p", 0.01, "--n-paths", 300, "--grid-points", 2),
+}
+
+
+class TestRecordedReports:
+    @pytest.mark.parametrize("suite", sorted(_RECORDED_RUNS))
+    def test_rows_match_recorded_report(self, tmp_path, suite):
+        # names, order, arclengths and verdicts exactly; numbers to a relative
+        # 1e-9, since vectorized numpy transcendentals may differ across CPUs
+        assert run_cli("verify", "--suite", suite, *_RECORDED_RUNS[suite], "--seed", 3,
+                       "--out-dir", tmp_path) == 0
+        rows = read_rows(tmp_path / f"report-{suite}.csv")
+        recorded = read_rows(_REPORT_DATA / f"report-{suite}.csv")
+        assert [(r["observable"], r["s"], r["t"], r["pass"]) for r in rows] == \
+            [(r["observable"], r["s"], r["t"], r["pass"]) for r in recorded]
+        for row, old in zip(rows, recorded):
+            for column in ("estimate", "stderr", "oracle"):
+                assert float(row[column]) == pytest.approx(float(old[column]), rel=1e-9), \
+                    (old["observable"], column)
+            # z inherits the relative error of estimate and oracle, scaled
+            # up by their size over the stderr
+            estimate, stderr, oracle = (float(old[c]) for c in ("estimate", "stderr", "oracle"))
+            slack = (abs(estimate) + abs(oracle)) / stderr if stderr > 0 else 0.0
+            assert float(row["z"]) == pytest.approx(float(old["z"]), rel=1e-9, abs=1e-9 * slack), \
+                old["observable"]
 
 
 class TestPlotdata:
@@ -303,7 +362,7 @@ class TestPlotdata:
     def test_oracle_series_on_grid(self, report_csv, tmp_path):
         out = tmp_path / "plot.csv"
         assert run_cli("plotdata", "--report", report_csv, "--out", out) == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = read_rows(out)
         oracle_rows = [r for r in rows if r["series"] == "qq:oracle"]
         assert len(oracle_rows) == 3
         for row in oracle_rows:
@@ -311,10 +370,10 @@ class TestPlotdata:
             assert float(row["y"]) == pytest.approx(expected, abs=1e-12)
 
     def test_band_is_two_stderr(self, report_csv, tmp_path):
-        source = list(csv.DictReader(report_csv.open()))
+        source = read_rows(report_csv)
         out = tmp_path / "plot.csv"
         run_cli("plotdata", "--report", report_csv, "--out", out)
-        rows = [r for r in csv.DictReader(out.open()) if r["series"] == "qq"]
+        rows = [r for r in read_rows(out) if r["series"] == "qq"]
         assert len(rows) == len(source)
         for plot_row, rep_row in zip(rows, source):
             estimate, stderr = float(rep_row["estimate"]), float(rep_row["stderr"])
@@ -328,7 +387,7 @@ class TestPlotdata:
         out = tmp_path / "plot.csv"
         assert run_cli("plotdata", "--report", tmp_path / "report-converge.csv",
                        "--out", out) == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = read_rows(out)
         gap_rows = [r for r in rows if r["series"].startswith("kp-gap-corr")]
         assert {float(r["x"]) for r in gap_rows} == {8.0, 32.0}
         for row in gap_rows:
@@ -347,7 +406,7 @@ class TestPlotdata:
                 "--n-steps", 20, "--seed", 5, "--out", path_csv)
         out = tmp_path / "plot.csv"
         assert run_cli("plotdata", "--report", path_csv, "--out", out) == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = read_rows(out)
         assert {r["series"] for r in rows} == {"Qx", "Qy", "Qz", "Rx", "Ry", "Rz"}
         assert sum(r["series"] == "Qz" for r in rows) == 21
 

@@ -6,7 +6,7 @@ import pytest
 
 import wormchain.estimators as est
 from wormchain.analytics import hard_rod_fluctuation_cov, kp_tangent_correlation
-from wormchain.chain import FrcConfig, frc_msd_oracle
+from wormchain.chain import FrcConfig, _frc_scan, frc_msd_oracle
 from wormchain.estimators import (
     ComparisonReport,
     EnsembleSummary,
@@ -95,7 +95,7 @@ class TestEnsembleSummary:
 class TestRunEnsemble:
     def test_pinned_origin_has_zero_spread(self):
         cfg = FrcConfig.scaled(8, 1.0, 1.0)
-        obs = tuple(Observable(f"R0{c}", "bead_coord", (0, i)) for i, c in enumerate("xyz"))
+        obs = tuple(Observable(f"R0{c}", "coord", (i, 0)) for i, c in enumerate("xyz"))
         summary = run_ensemble(cfg, 2, obs, seed=3)
         for name in ("R0x", "R0y", "R0z"):
             assert summary.mean(name) == 0.0
@@ -154,6 +154,41 @@ class TestRunEnsemble:
         with pytest.raises(ValueError):
             run_ensemble("not a model", 4, obs, seed=0)
 
+    def test_unknown_kind_and_chain_sup_are_rejected(self):
+        with pytest.raises(ValueError, match="unknown observable kind"):
+            Observable("b", "bond_corr", (1,))
+        cfg = FrcConfig.scaled(8, 1.0, 1.0)
+        with pytest.raises(ValueError, match="sup_rod_dev"):
+            run_ensemble(cfg, 4, (Observable("sup", "sup_rod_dev"),), seed=0)
+
+
+class TestObservables:
+    def test_marks_come_from_the_kind_table(self):
+        assert Observable("a", "tangent_dot", (3, 7)).tangent_marks == (3, 7)
+        assert Observable("a", "tangent_dot", (3, 7)).position_marks == ()
+        assert Observable("b", "coord_prod", (0, 2, 1, 5, 1.0)).position_marks == (2, 5)
+        assert Observable("c", "incr_prod", (2, 4, 9, 1.0)).position_marks == (4, 9)
+        assert Observable("d", "coord", (1, 6)).position_marks == (6,)
+        assert Observable("e", "sup_rod_dev").tangent_marks == ()
+
+    def test_chain_record_is_keyed_by_bond_and_bead(self):
+        # bond 1 is exactly e3, so T_1 . T_{1+k} is the z-component of bond
+        # 1+k bit for bit; beads are the kept path's beads
+        cfg = FrcConfig.scaled(12, 1.0, 1.3)
+        phis = np.random.default_rng(3).uniform(0.0, 2.0 * math.pi, size=(5, 11))
+        rec = _frc_scan(cfg, phis, tangent_marks=(1, 4, 12), position_marks=(0, 5, 12))
+        assert np.array_equal(rec["tangents"][1], np.tile([0.0, 0.0, 1.0], (5, 1)))
+        for k in (3, 11):
+            corr = Observable("c", "tangent_dot", (1, 1 + k)).evaluate(rec)
+            assert np.array_equal(corr, rec["tangents"][1 + k][:, 2])
+        beads = _frc_scan(cfg, phis, keep_beads=True)["beads_all"]
+        for m in (0, 5, 12):
+            assert np.allclose(rec["positions"][m], beads[:, m], rtol=0.0, atol=1e-14)
+        msd = Observable("m", "path_msd", (12,)).evaluate(rec)
+        assert np.array_equal(msd, np.sum(rec["positions"][12] ** 2, axis=1))
+        assert np.array_equal(Observable("x", "coord", (0, 5)).evaluate(rec),
+                              rec["positions"][5][:, 0])
+
 
 class TestComparisonReports:
     def test_trivial_equal_arclengths(self):
@@ -186,6 +221,29 @@ class TestComparisonReports:
         summary = run_ensemble(cfg, 8, (msd_observable(cfg, 0.0),), seed=4)
         report = estimate_msd(summary, 0.0)
         assert report.estimate == 0.0 and report.oracle == 0.0 and report.passed
+
+    def test_positive_arclength_snapping_to_origin_is_rejected(self):
+        # t = 0.5 on a one-step grid rounds to index 0, where |R|^2 = 0 is
+        # exact and the row would pass vacuously
+        cfg = KpConfig(1.0, 1.0, 1)
+        with pytest.raises(ValueError, match="snaps to grid index 0"):
+            msd_observable(cfg, 0.5)
+        with pytest.raises(ValueError, match="snaps to grid index 0"):
+            tangent_dot_observable(cfg, 0.0, 0.25)
+        with pytest.raises(ValueError, match="snaps to grid index 0"):
+            kp_msd_suite(cfg, 100, seed=1)
+        with pytest.raises(ValueError, match="s/2"):
+            random_coil_diagnostics(0.001, 1.0, 100, 4, seed=1, n_steps=3)
+        assert msd_observable(cfg, 0.0).params == (0,)
+        assert msd_observable(cfg, 0.75).params == (1,)
+
+    def test_estimates_match_suite_rows(self):
+        cfg = KpConfig(1.0, 1.0, 40)
+        summary = run_ensemble(cfg, 60, (tangent_dot_observable(cfg, 0.0, 0.5),), seed=7)
+        assert kp_correlation_suite(cfg, 60, seed=7, s_values=(0.5,)) == \
+            [estimate_tangent_correlation(summary, 0.0, 0.5)]
+        summary = run_ensemble(cfg, 60, (msd_observable(cfg, 0.5),), seed=7)
+        assert kp_msd_suite(cfg, 60, seed=7, t_values=(0.5,)) == [estimate_msd(summary, 0.5)]
 
     def test_pass_flag_reproducible_from_fields(self):
         cfg = KpConfig(1.0, 1.0, 200)
@@ -282,6 +340,21 @@ class TestSuites:
         assert ratio_row.passed
         sup_row = next(r for r in reports if r.observable == "rodsup")
         assert sup_row.passed
+
+    def test_collapsed_grid_points_give_each_row_once(self):
+        # 16 grid points on 10 steps snap onto 10 grid indices
+        reports = hard_rod_diagnostics(1.0e4, 1.0, 200, 16, seed=4, n_steps=10)
+        names = [r.observable for r in reports]
+        assert len(names) == len(set(names)) == 3 * 10 + 1
+        assert names[-1] == "rodsup"
+        cfg = KpConfig(1.0, 1.0, 10)
+        reports = kp_correlation_suite(cfg, 50, seed=4, s_values=(0.5, 0.52, 0.5, 1.0))
+        assert [r.observable for r in reports] == ["qq[k1=0,k2=5]", "qq[k1=0,k2=10]"]
+        # N = 2: the lags of f = 0.5 and f = 1.0 are both 1
+        reports = convergence_table(1.0, 1.0, [2, 4], 50, seed=4)
+        names = [r.observable for r in reports]
+        assert len(names) == len(set(names))
+        assert names.count("frc-corr[N=2,k=1]") == 1
 
     def test_diagnostics_reject_empty_grid(self):
         with pytest.raises(ValueError, match="grid_points"):
