@@ -15,7 +15,6 @@ from .chain import (
     FrcConfig,
     frc_bond_correlation_oracle,
     frc_msd_oracle,
-    interpolate_path,
     sample_frc,
     write_chain_csv,
 )
@@ -36,25 +35,12 @@ from .estimators import (
     write_reports_csv,
 )
 from .kp import (
-    BrownianDriver,
     KpConfig,
     PathSample,
     default_n_steps,
     simulate_kp,
-    step_kp,
-    tangent_at,
     write_path_csv,
 )
-from .so3 import (
-    Rotation3,
-    SkewSym3,
-    UnitVec3,
-    apply,
-    compose,
-    exp_rodrigues,
-    hat,
-    orthonormal_defect,
-    reorthonormalize,
-)
+from .so3 import orthonormal_defect
 
 __version__ = "0.1.0"

@@ -34,7 +34,6 @@ __all__ = [
     "FrcConfig",
     "DiscreteChain",
     "sample_frc",
-    "interpolate_path",
     "frc_bond_correlation_oracle",
     "frc_msd_oracle",
     "write_chain_csv",
@@ -209,30 +208,17 @@ def _frc_scan(cfg: FrcConfig, phis: np.ndarray, *, keep_beads: bool = False,
     return {"tangents": tangents, "positions": positions, "beads_all": beads_all}
 
 
+def _draw_torsions(cfg: FrcConfig, rng: np.random.Generator) -> np.ndarray:
+    """One chain's ``N - 1`` torsions, i.i.d. uniform on ``[0, 2*pi)``."""
+    return rng.uniform(0.0, 2.0 * math.pi, size=cfg.n_bonds - 1)
+
+
 def sample_frc(cfg: FrcConfig, rng: np.random.Generator) -> DiscreteChain:
-    """Draw one chain: N-1 i.i.d. uniform torsions, then the exact construction."""
-    phis = rng.uniform(0.0, 2.0 * math.pi, size=cfg.n_bonds - 1)
+    """Draw one chain from the stream ``rng``: its torsions, then the exact
+    construction."""
+    phis = _draw_torsions(cfg, rng)
     rec = _frc_scan(cfg, phis[None, :], keep_beads=True)
     return DiscreteChain(beads=rec["beads_all"][0], phis=phis)
-
-
-def interpolate_path(chain: DiscreteChain, s: float) -> np.ndarray:
-    """Piecewise-linear position at arclength ``s`` along the chain.
-
-    Grid points snap exactly: ``s = n*a`` returns ``beads[n]`` even when the
-    float division ``s/a`` lands an ulp off an integer.
-    """
-    a = chain.bond_length
-    n = chain.n_bonds
-    if not (math.isfinite(s) and -1e-9 * a <= s <= n * a * (1.0 + 1e-12) + 1e-9 * a):
-        raise ValueError(f"arclength s = {s!r} outside [0, {n * a!r}]")
-    u = s / a
-    nearest = round(u)
-    if 0 <= nearest <= n and abs(u - nearest) <= 1e-9:
-        return chain.beads[int(nearest)].copy()
-    i = min(int(math.floor(u)), n - 1)
-    w = u - i
-    return (1.0 - w) * chain.beads[i] + w * chain.beads[i + 1]
 
 
 def frc_bond_correlation_oracle(theta: float, k: int) -> float:

@@ -24,8 +24,9 @@ from .analytics import (
     kp_tangent_correlation,
     random_coil_cov,
 )
-from .chain import FrcConfig, _frc_scan, frc_bond_correlation_oracle, frc_msd_oracle
-from .kp import KpConfig, _kp_scan
+from .chain import (FrcConfig, _draw_torsions, _frc_scan, frc_bond_correlation_oracle,
+                    frc_msd_oracle)
+from .kp import KpConfig, _draw_increments, _kp_scan
 from .so3 import MAX_SCAN_WIDTH
 
 __all__ = [
@@ -161,10 +162,13 @@ class EnsembleSummary:
     @classmethod
     def from_values(cls, model, seed: int, observables: tuple[Observable, ...],
                     values: np.ndarray) -> "EnsembleSummary":
+        """Summary of ``values`` ``(observables, paths)``.  Each row is
+        reduced on its own, so its moments do not depend on which other
+        observables share the run."""
         values = np.asarray(values, dtype=np.float64)
-        means = values.mean(axis=0)
-        m2s = np.sum((values - means) ** 2, axis=0)
-        return cls(model, seed, observables, values.shape[0], means, m2s)
+        means = values.mean(axis=1)
+        m2s = np.sum((values - means[:, None]) ** 2, axis=1)
+        return cls(model, seed, observables, values.shape[1], means, m2s)
 
     def _index(self, name: str) -> int:
         for i, obs in enumerate(self.observables):
@@ -199,25 +203,25 @@ class EnsembleSummary:
 
 def _chunk_values(model, observables: tuple[Observable, ...], seed: int,
                   start: int, stop: int) -> np.ndarray:
+    """Per-path values ``(observables, paths)`` of paths ``start..stop-1``,
+    each drawn from its own stream by its model's draw."""
     paths = stop - start
     marks = {
         "tangent_marks": tuple(sorted({k for obs in observables for k in obs.tangent_marks})),
         "position_marks": tuple(sorted({k for obs in observables for k in obs.position_marks})),
     }
     if isinstance(model, FrcConfig):
-        n_phis = model.n_bonds - 1
-        phis = np.empty((paths, n_phis))
+        phis = np.empty((paths, model.n_bonds - 1))
         for row, index in enumerate(range(start, stop)):
-            phis[row] = path_rng(seed, index).uniform(0.0, 2.0 * math.pi, size=n_phis)
+            phis[row] = _draw_torsions(model, path_rng(seed, index))
         rec = _frc_scan(model, phis, **marks)
     else:
-        sqrt_h = math.sqrt(model.h)
         dbeta = np.empty((paths, model.n_steps, 2))
         for row, index in enumerate(range(start, stop)):
-            dbeta[row] = path_rng(seed, index).normal(0.0, sqrt_h, size=(model.n_steps, 2))
+            dbeta[row] = _draw_increments(model, path_rng(seed, index))
         rec = _kp_scan(model.ell_p, model.h, dbeta, **marks,
                        track_sup_rod_dev=any(obs.kind == "sup_rod_dev" for obs in observables))
-    return np.stack([obs.evaluate(rec) for obs in observables], axis=1)
+    return np.stack([obs.evaluate(rec) for obs in observables])
 
 
 def _ensemble_chunk(model, observables, seed, start, stop) -> EnsembleSummary:
@@ -611,7 +615,8 @@ def random_coil_diagnostics(ell_p: float, contour_length: float, n_paths: int,
     Per-component variances of ``sqrt(3/ell_p) R_s`` against
     ``random_coil_cov(s, s) = s``, cross-component covariances and
     increment correlations against zero, and the summed variance against the
-    exact mean-squared-position form.
+    exact mean-squared-position form.  The grid must resolve ``ell_p``:
+    ``h = L/n_steps <= ell_p/10``, else ``ValueError``.
     """
     cfg = _diagnostics_config(contour_length, ell_p, n_steps, n_paths, grid_points)
     scale = 3.0 / ell_p
@@ -630,6 +635,13 @@ def random_coil_diagnostics(ell_p: float, contour_length: float, n_paths: int,
                                    (i, k_half, k, scale)), 0.0, s=s_snap) for i in range(3)]
         rows.append(_Check(Observable(f"coilsum[k={k}]", "path_msd", (k,)),
                            scale * kp_mean_sq_position(ell_p, s_snap), s=s_snap, scale=scale))
+    # a coarser grid biases the rows by many stderrs: at ell_p = 0.01 and
+    # 4000 paths, coilsum reads z = -15.6 at h = ell_p, -5.8 at ell_p/4 and
+    # -1.0 at ell_p/10
+    if cfg.h > ell_p / 10.0:
+        raise ValueError(
+            f"random-coil diagnostics need a grid step h <= ell_p/10; got h={cfg.h!r} for "
+            f"ell_p={ell_p!r}; use n_steps >= {math.ceil(10.0 * contour_length / ell_p)}")
     if ell_p > contour_length / 100.0:
         warnings.warn(
             f"random-coil diagnostics expect ell_p <= L/100; got ell_p={ell_p!r}, L={contour_length!r}",

@@ -14,7 +14,7 @@ Ensembles and long paths run through the shared kernel
 the step by rotation vector ``omega`` (angle ``a = |omega|``) is the
 quaternion ``(cos(a/2), sin(a/2)/a * omega)``, and a batch is cut into time
 segments that are scanned side by side and then stitched (see
-:mod:`wormchain.so3`).  :func:`step_kp` keeps the single 3x3 Rodrigues step.
+:mod:`wormchain.so3`).
 
 Noise normalization: the per-step rotation vector is
 ``sqrt(2/ell_p) * (-db2, db1, 0)`` with ``db1, db2 ~ N(0, h)``.  The factor
@@ -32,18 +32,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .so3 import _SMALL_ANGLE, Rotation3, UnitVec3, frame_scan, rodrigues_batch
+from .so3 import _SMALL_ANGLE, frame_scan
 
 __all__ = [
     "KpConfig",
-    "BrownianDriver",
     "PathSample",
     "default_n_steps",
-    "step_kp",
     "simulate_kp",
-    "tangent_at",
     "write_path_csv",
 ]
+
 
 def default_n_steps(contour_length: float, ell_p: float) -> int:
     """Grid resolution that resolves the correlation length with >= 50 steps."""
@@ -78,38 +76,6 @@ class KpConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class BrownianDriver:
-    """Increments of the two driving Brownian motions on a uniform grid.
-
-    ``increments[k] = (db1_k, db2_k)``, each i.i.d. Normal(0, h).
-    """
-
-    increments: np.ndarray  # (n_steps, 2)
-    h: float
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.increments, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 1:
-            raise ValueError(f"increments must have shape (n_steps, 2), got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("increments must be finite")
-        if not (math.isfinite(self.h) and self.h > 0.0):
-            raise ValueError(f"h must be positive, got {self.h!r}")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "increments", arr)
-
-    @classmethod
-    def draw(cls, n_steps: int, h: float, rng: np.random.Generator) -> "BrownianDriver":
-        return cls(rng.normal(0.0, math.sqrt(h), size=(int(n_steps), 2)), float(h))
-
-    @classmethod
-    def zeros(cls, n_steps: int, h: float) -> "BrownianDriver":
-        """All-zero driver: the integrator then reproduces the straight rod."""
-        return cls(np.zeros((int(n_steps), 2)), float(h))
-
-
-@dataclass(frozen=True, eq=False)
 class PathSample:
     """A realized path on the grid: frames Z_k, tangents Q_k, positions R_k."""
 
@@ -135,29 +101,6 @@ class PathSample:
     @property
     def contour_length(self) -> float:
         return float(self.grid[-1])
-
-
-def _increment_vectors(ell_p: float, dbeta: np.ndarray) -> np.ndarray:
-    """so(3) rotation vectors for a (C, 2) batch of Brownian increments."""
-    scale = math.sqrt(2.0 / ell_p)
-    omega = np.empty(dbeta.shape[:-1] + (3,))
-    omega[..., 0] = -scale * dbeta[..., 1]
-    omega[..., 1] = scale * dbeta[..., 0]
-    omega[..., 2] = 0.0
-    return omega
-
-
-def step_kp(z: Rotation3, dbeta1: float, dbeta2: float, ell_p: float) -> Rotation3:
-    """Advance the frame by one exponential Euler-Maruyama step.
-
-    Returns ``z @ exp(hat(sqrt(2/ell_p) * (-dbeta2, dbeta1, 0)))``.  The
-    rotation axis lies in the body-frame x-y plane (perpendicular to the
-    current tangent), so the result is exactly in SO(3) up to roundoff.
-    """
-    if not (math.isfinite(ell_p) and ell_p > 0.0):
-        raise ValueError(f"ell_p must be positive, got {ell_p!r}")
-    omega = _increment_vectors(ell_p, np.array([dbeta1, dbeta2], dtype=np.float64))
-    return Rotation3(z.m @ rodrigues_batch(omega))
 
 
 def _kp_steps(ell_p: float, dbeta: np.ndarray):
@@ -220,22 +163,15 @@ def _kp_scan(ell_p: float, h: float, dbeta: np.ndarray, *,
                       want_final_frame=want_final_frame, keep_path=keep_path)
 
 
-def simulate_kp(cfg: KpConfig, rng: np.random.Generator | None = None, *,
-                driver: BrownianDriver | None = None) -> PathSample:
-    """Simulate one path on the uniform grid.
+def _draw_increments(cfg: KpConfig, rng: np.random.Generator) -> np.ndarray:
+    """One path's driver: ``(n_steps, 2)`` increments ``(db1_k, db2_k)``,
+    each i.i.d. Normal(0, h)."""
+    return rng.normal(0.0, math.sqrt(cfg.h), size=(cfg.n_steps, 2))
 
-    Draws a fresh driver from ``rng`` unless an explicit ``driver`` is
-    injected (e.g. the all-zero driver, whose path is the straight rod).
-    """
-    if driver is None:
-        if rng is None:
-            raise ValueError("either rng or driver must be provided")
-        driver = BrownianDriver.draw(cfg.n_steps, cfg.h, rng)
-    else:
-        if driver.increments.shape[0] != cfg.n_steps:
-            raise ValueError(
-                f"driver has {driver.increments.shape[0]} steps, config wants {cfg.n_steps}")
-    rec = _kp_scan(cfg.ell_p, cfg.h, driver.increments[None, :, :], keep_path=True)
+
+def simulate_kp(cfg: KpConfig, rng: np.random.Generator) -> PathSample:
+    """Simulate one path on the uniform grid from the stream ``rng``."""
+    rec = _kp_scan(cfg.ell_p, cfg.h, _draw_increments(cfg, rng)[None], keep_path=True)
     grid = np.arange(cfg.n_steps + 1, dtype=np.float64) * cfg.h
     return PathSample(
         grid=grid,
@@ -243,17 +179,6 @@ def simulate_kp(cfg: KpConfig, rng: np.random.Generator | None = None, *,
         tangents=rec["tangents_all"][0],
         positions=rec["positions_all"][0],
     )
-
-
-def tangent_at(path: PathSample, s: float) -> UnitVec3:
-    """Tangent at the nearest grid point <= s (piecewise-constant on the grid)."""
-    length = path.contour_length
-    if not (math.isfinite(s) and -1e-9 * length <= s <= length * (1.0 + 1e-12) + 1e-9 * length):
-        raise ValueError(f"arclength s = {s!r} outside [0, {length!r}]")
-    h = float(path.grid[1]) if path.n_steps >= 1 else length
-    k = int(math.floor(s / h + 1e-9))
-    k = min(max(k, 0), path.n_steps)
-    return UnitVec3(path.tangents[k])
 
 
 def write_path_csv(path: PathSample, fileobj) -> None:

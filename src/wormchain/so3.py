@@ -1,20 +1,18 @@
-"""Exact math for the rotation group SO(3) and its algebra so(3).
+"""Exact math for the rotation group SO(3): the frame kernel of both chains.
 
 Conventions used throughout the package:
 
-* ``hat((x, y, z))`` is the skew-symmetric matrix ``[[0, -z, y], [z, 0, -x],
-  [-y, x, 0]]``, i.e. ``hat(v) @ w == cross(v, w)``.
-* ``exp_rodrigues(hat(theta * u))`` for a unit axis ``u`` is the right-handed
-  rotation by angle ``theta`` about ``u``.
+* ``rodrigues_batch(theta * u)`` for a unit axis ``u`` is the right-handed
+  rotation by angle ``theta`` about ``u``, as a 3x3 matrix.
 * A unit quaternion ``(w, x, y, z)`` stands for the rotation by ``2*acos(w)``
   about ``(x, y, z)``; ``quat_matrix`` gives its 3x3 matrix, whose third
   column ``(2(xz + wy), 2(yz - wx), 1 - 2(x^2 + y^2))`` is the tangent.
 
-The value classes store full 3x3 matrices.  The path kernel
-:func:`frame_scan`, shared by the freely rotating chain and the wormlike
-chain, carries each moving frame as a unit quaternion instead: a step
+The path kernel :func:`frame_scan`, shared by the freely rotating chain and
+the wormlike chain, carries each moving frame as a unit quaternion: a step
 right-multiplies it by ``(cos(a/2), sin(a/2) u_x, sin(a/2) u_y, 0)``, the
 rotation by ``a`` about a body axis ``u`` perpendicular to the tangent.
+:func:`rodrigues_batch` is the matrix reference the kernel is tested against.
 
 Segment plan: a batch of C paths of n steps is cut into B time segments of
 ``L = ceil(n/B)`` steps, ``B = min(n, 4096 // C, floor(sqrt(n)))``.  All C*B
@@ -31,19 +29,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "SkewSym3",
-    "Rotation3",
-    "UnitVec3",
-    "hat",
-    "exp_rodrigues",
-    "compose",
-    "apply",
-    "reorthonormalize",
     "orthonormal_defect",
     "rodrigues_batch",
     "quat_matrix",
@@ -58,88 +47,6 @@ _SMALL_ANGLE = 1e-4
 # Widest batch of segments one scan step advances; matches the widest
 # ensemble chunk, so narrow chunks are widened by cutting paths into segments.
 MAX_SCAN_WIDTH = 4096
-
-_ROTATION_TOL = 1e-8
-_UNIT_TOL = 1e-10
-
-
-def _vec3(v, name: str) -> np.ndarray:
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.shape != (3,):
-        raise ValueError(f"{name} must be a 3-vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite, got {arr}")
-    return arr
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
-
-
-@dataclass(frozen=True, eq=False)
-class SkewSym3:
-    """Element of so(3), stored as the coefficient vector of the hat map."""
-
-    omega: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "omega", _freeze(_vec3(self.omega, "omega").copy()))
-
-    def as_matrix(self) -> np.ndarray:
-        x, y, z = self.omega
-        return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-
-    def apply(self, w) -> np.ndarray:
-        """Matrix action on a vector: hat(omega) @ w == omega x w."""
-        return np.cross(self.omega, _vec3(w, "w"))
-
-
-@dataclass(frozen=True, eq=False)
-class Rotation3:
-    """Element of SO(3): a 3x3 orthonormal matrix with determinant +1."""
-
-    m: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.m, dtype=np.float64)
-        if arr.shape != (3, 3):
-            raise ValueError(f"rotation matrix must be 3x3, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("rotation matrix must be finite")
-        defect = orthonormal_defect(arr)
-        if defect > _ROTATION_TOL:
-            raise ValueError(f"matrix is not orthonormal: ||m^T m - I||_F = {defect:.3e}")
-        det = float(np.linalg.det(arr))
-        if abs(det - 1.0) > _ROTATION_TOL:
-            raise ValueError(f"matrix is not a proper rotation: det = {det!r}")
-        object.__setattr__(self, "m", _freeze(arr.copy()))
-
-    @classmethod
-    def identity(cls) -> "Rotation3":
-        return cls(np.eye(3))
-
-    def transposed(self) -> "Rotation3":
-        return Rotation3(self.m.T)
-
-
-@dataclass(frozen=True, eq=False)
-class UnitVec3:
-    """A direction in R^3 with unit Euclidean norm."""
-
-    v: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = _vec3(self.v, "v")
-        norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > _UNIT_TOL:
-            raise ValueError(f"vector is not unit length: |v| = {norm!r}")
-        object.__setattr__(self, "v", _freeze(arr.copy()))
-
-
-def hat(v) -> SkewSym3:
-    """Coordinate chart for so(3): wrap a 3-vector as a skew-symmetric element."""
-    return SkewSym3(_vec3(v, "v"))
 
 
 def orthonormal_defect(m) -> float:
@@ -160,10 +67,10 @@ def rodrigues_batch(omega: np.ndarray) -> np.ndarray:
     Returns
     -------
     (..., 3, 3) ndarray
-        ``exp(hat(omega))`` for every vector in the stack.  Uses the closed
-        form ``R = (1 - B t^2) I + A hat(w) + B w w^T`` with
-        ``A = sin(t)/t`` and ``B = (1 - cos t)/t^2``, switching to series
-        below ``1e-4`` radians.
+        The exponential of the skew matrix ``K`` of each ``w = omega``
+        (``K v = w x v``).  Uses the closed form ``R = (1 - B t^2) I + A K
+        + B w w^T`` with ``t = |w|``, ``A = sin(t)/t`` and ``B = (1 - cos
+        t)/t^2``, switching to series below ``1e-4`` radians.
     """
     omega = np.asarray(omega, dtype=np.float64)
     t2 = np.sum(omega * omega, axis=-1)
@@ -190,53 +97,6 @@ def rodrigues_batch(omega: np.ndarray) -> np.ndarray:
         + a[..., None, None] * k
         + b[..., None, None] * outer
     )
-
-
-def exp_rodrigues(s: SkewSym3) -> Rotation3:
-    """Exponential map so(3) -> SO(3) in Rodrigues closed form."""
-    return Rotation3(rodrigues_batch(s.omega))
-
-
-def compose(a: Rotation3, b: Rotation3) -> Rotation3:
-    """Matrix product a b (apply b first, then a)."""
-    return Rotation3(a.m @ b.m)
-
-
-def apply(r: Rotation3, v) -> np.ndarray:
-    """Rotate a vector: returns r.m @ v.  Preserves the Euclidean norm."""
-    return r.m @ _vec3(v, "v")
-
-
-def reorthonormalize(r) -> Rotation3:
-    """Project a drifted near-rotation back onto SO(3).
-
-    Accepts a ``Rotation3`` or a raw 3x3 array (long products of float
-    rotations drift off the group, so the raw-array form is the common one).
-    Modified Gram-Schmidt on the columns; the result satisfies
-    ``||m^T m - I||_F <= 1e-14`` and ``det = +1``.
-
-    Raises
-    ------
-    ArithmeticError
-        If the input columns are numerically rank-deficient.
-    """
-    m = r.m if isinstance(r, Rotation3) else np.asarray(r, dtype=np.float64)
-    if m.shape != (3, 3) or not np.all(np.isfinite(m)):
-        raise ValueError("input must be a finite 3x3 matrix")
-    cols = []
-    work = m.copy()
-    for j in range(3):
-        v = work[:, j]
-        for u in cols:
-            v = v - np.dot(u, v) * u
-        norm = float(np.linalg.norm(v))
-        if norm < 1e-12:
-            raise ArithmeticError("rank-deficient matrix cannot be orthonormalized")
-        cols.append(v / norm)
-    out = np.stack(cols, axis=1)
-    if np.linalg.det(out) < 0.0:
-        raise ArithmeticError("input is closer to a reflection than a rotation")
-    return Rotation3(out)
 
 
 # ---------------------------------------------------------------------------

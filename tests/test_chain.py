@@ -9,12 +9,11 @@ from wormchain.chain import (
     FrcConfig,
     frc_bond_correlation_oracle,
     frc_msd_oracle,
-    interpolate_path,
     sample_frc,
     write_chain_csv,
 )
 from wormchain.estimators import path_rng
-from wormchain.so3 import exp_rodrigues, hat
+from wormchain.so3 import rodrigues_batch
 
 
 def frc_msd_direct(cfg):
@@ -103,7 +102,7 @@ class TestSampleFrc:
         assert np.max(np.abs(cos_angles - math.cos(1.0))) <= 1e-10
 
     def test_matches_rotation_product_reference(self):
-        # independent per-bond reference using the scalar SO(3) operations
+        # independent per-bond reference: one Rodrigues matrix per joint
         cfg = FrcConfig.raw(6, 0.5, 0.8)
         chain = sample_frc(cfg, path_rng(123, 0))
         z = np.eye(3)
@@ -111,7 +110,7 @@ class TestSampleFrc:
         beads = [np.zeros(3), r.copy()]
         for phi in chain.phis:
             axis = np.array([math.cos(phi), math.sin(phi), 0.0])
-            z = z @ exp_rodrigues(hat(cfg.bond_angle * axis)).m
+            z = z @ rodrigues_batch(cfg.bond_angle * axis)
             r = r + cfg.bond_length * (z @ np.array([0.0, 0.0, 1.0]))
             beads.append(r.copy())
         assert np.allclose(chain.beads, np.array(beads), atol=1e-12)
@@ -122,36 +121,6 @@ class TestSampleFrc:
         b = sample_frc(cfg, path_rng(42, 0))
         assert np.array_equal(a.beads, b.beads)
         assert np.array_equal(a.phis, b.phis)
-
-
-class TestInterpolatePath:
-    @pytest.fixture()
-    def chain(self):
-        return sample_frc(FrcConfig.scaled(10, 1.0, 1.0), path_rng(8, 0))
-
-    def test_origin(self, chain):
-        assert np.array_equal(interpolate_path(chain, 0.0), [0.0, 0.0, 0.0])
-
-    def test_midpoint_of_first_bond(self, chain):
-        a = chain.bond_length
-        assert np.allclose(interpolate_path(chain, a / 2.0), [0.0, 0.0, a / 2.0], atol=1e-15)
-
-    def test_grid_points_exact(self, chain):
-        a = chain.bond_length
-        for n in range(chain.n_bonds + 1):
-            assert np.array_equal(interpolate_path(chain, n * a), chain.beads[n])
-
-    def test_between_beads(self, chain):
-        a = chain.bond_length
-        value = interpolate_path(chain, 3.25 * a)
-        expected = 0.75 * chain.beads[3] + 0.25 * chain.beads[4]
-        assert np.allclose(value, expected, atol=1e-12)
-
-    def test_out_of_range(self, chain):
-        with pytest.raises(ValueError):
-            interpolate_path(chain, -0.5)
-        with pytest.raises(ValueError):
-            interpolate_path(chain, chain.n_bonds * chain.bond_length + 0.5)
 
 
 class TestBondCorrelationOracle:

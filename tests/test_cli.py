@@ -231,6 +231,22 @@ class TestBadInput:
                                 "--n-paths", 1, "--seed", 42, "--out-dir", tmp_path)
         assert "n_paths" in err
 
+    def test_random_coil_grid_must_resolve_ell_p(self, capsys, tmp_path):
+        # h = 5 ell_p: the coil rows would fail at z of +15 on both attempts
+        err = self._usage_error(capsys, "verify", "--suite", "random-coil", "--n-paths", 300,
+                                "--n-steps", 200, "--seed", 3, "--out-dir", tmp_path)
+        assert "h <= ell_p/10" in err and "n_steps >= 10000" in err
+        assert not (tmp_path / "report-random-coil.csv").exists()
+
+    def test_suite_all_keeps_reports_of_suites_already_run(self, capsys, tmp_path):
+        # random-coil runs last and rejects the shared 200-step grid
+        self._usage_error(capsys, "verify", "--suite", "all", "--n-paths", 100,
+                          "--n-steps", 200, "--n-list", "8,32", "--grid-points", 1,
+                          "--seed", 3, "--out-dir", tmp_path)
+        for suite in ("correlation", "msd", "converge", "hard-rod"):
+            assert (tmp_path / f"report-{suite}.csv").exists()
+        assert not (tmp_path / "report-random-coil.csv").exists()
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one(self, capsys, tmp_path, workers):
         err = self._usage_error(capsys, "verify", "--suite", "correlation", "--workers", workers,

@@ -6,7 +6,7 @@ import pytest
 
 import wormchain.estimators as est
 from wormchain.analytics import hard_rod_fluctuation_cov, kp_tangent_correlation
-from wormchain.chain import FrcConfig, _frc_scan, frc_msd_oracle
+from wormchain.chain import FrcConfig, _frc_scan, frc_msd_oracle, sample_frc
 from wormchain.estimators import (
     ComparisonReport,
     EnsembleSummary,
@@ -25,7 +25,7 @@ from wormchain.estimators import (
     tangent_dot_observable,
     write_reports_csv,
 )
-from wormchain.kp import KpConfig
+from wormchain.kp import KpConfig, simulate_kp
 
 
 def summary_of(values, model=None, seed=0):
@@ -34,7 +34,7 @@ def summary_of(values, model=None, seed=0):
         values = values[:, None]
     obs = tuple(Observable(f"v{i}", "path_msd", (0,)) for i in range(values.shape[1]))
     model = model or KpConfig(1.0, 1.0, 4)
-    return EnsembleSummary.from_values(model, seed, obs, values)
+    return EnsembleSummary.from_values(model, seed, obs, values.T)  # (observables, paths)
 
 
 class TestPathRng:
@@ -132,13 +132,21 @@ class TestRunEnsemble:
         cfg = KpConfig(1.0, 1.0, 32)
         obs = (msd_observable(cfg, 1.0),)
         summary = run_ensemble(cfg, 3, obs, seed=21)
-        from wormchain.kp import BrownianDriver, simulate_kp
         values = []
         for i in range(3):
-            driver = BrownianDriver.draw(cfg.n_steps, cfg.h, path_rng(21, i))
-            path = simulate_kp(cfg, driver=driver)
+            path = simulate_kp(cfg, path_rng(21, i))
             values.append(float(np.dot(path.positions[-1], path.positions[-1])))
         assert summary.mean("msd[k=32]") == pytest.approx(np.mean(values), rel=1e-15)
+
+    def test_chain_paths_match_per_path_streams(self):
+        # chain i of an ensemble chunk is bit for bit the chain sampled from
+        # stream (seed, i): both draw their torsions the same way, and one
+        # chain and a chunk of three share the segment plan here
+        cfg = FrcConfig.scaled(40, 1.0, 1.0)
+        obs = tuple(Observable(f"end{c}", "coord", (i, 40)) for i, c in enumerate("xyz"))
+        ends = est._chunk_values(cfg, obs, 21, 0, 3).T
+        for i in range(3):
+            assert np.array_equal(ends[i], sample_frc(cfg, path_rng(21, i)).beads[-1])
 
     def test_validation(self):
         cfg = KpConfig(1.0, 1.0, 8)
@@ -244,6 +252,15 @@ class TestComparisonReports:
             [estimate_tangent_correlation(summary, 0.0, 0.5)]
         summary = run_ensemble(cfg, 60, (msd_observable(cfg, 0.5),), seed=7)
         assert kp_msd_suite(cfg, 60, seed=7, t_values=(0.5,)) == [estimate_msd(summary, 0.5)]
+
+    def test_row_moments_do_not_depend_on_other_rows(self):
+        # an unrelated observable in the same run must not move a row's bits
+        cfg = KpConfig(1.0, 1.0, 40)
+        alone, = kp_correlation_suite(cfg, 60, seed=7, s_values=(0.5,))
+        obs = (tangent_dot_observable(cfg, 0.0, 0.5), msd_observable(cfg, 0.5))
+        shared = estimate_tangent_correlation(run_ensemble(cfg, 60, obs, seed=7), 0.0, 0.5)
+        assert shared.estimate == alone.estimate
+        assert shared.stderr == alone.stderr
 
     def test_pass_flag_reproducible_from_fields(self):
         cfg = KpConfig(1.0, 1.0, 200)
@@ -375,6 +392,12 @@ class TestSuites:
         assert any(n.startswith("coilcov12") for n in names)
         assert any(n.startswith("coilincr2") for n in names)
         assert any(n.startswith("coilsum") for n in names)
+
+    def test_random_coil_grid_resolution(self):
+        with pytest.raises(ValueError, match="n_steps >= 1000"):
+            random_coil_diagnostics(0.01, 1.0, 8, 1, seed=0, n_steps=999)
+        # h = ell_p/10 exactly is accepted
+        assert len(random_coil_diagnostics(0.01, 1.0, 8, 1, seed=0, n_steps=1000)) == 10
 
     def test_random_coil_regime_warning(self):
         with pytest.warns(RuntimeWarning):

@@ -6,16 +6,14 @@ import pytest
 
 from wormchain.estimators import path_rng
 from wormchain.kp import (
-    BrownianDriver,
     KpConfig,
     default_n_steps,
     simulate_kp,
-    step_kp,
-    tangent_at,
     write_path_csv,
+    _draw_increments,
     _kp_scan,
 )
-from wormchain.so3 import Rotation3, orthonormal_defect
+from wormchain.so3 import orthonormal_defect
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -45,41 +43,41 @@ class TestKpConfig:
 
 
 class TestBrownianDriver:
+    """``_draw_increments``, the driver of one path."""
+
     def test_draw_shape_and_variance(self):
         n = 100_000
-        h = 0.01
-        driver = BrownianDriver.draw(n, h, path_rng(17, 0))
-        assert driver.increments.shape == (n, 2)
-        sample_var = float(np.var(driver.increments, ddof=1))
+        cfg = KpConfig(1000.0, 1.0, n)  # h = 0.01
+        increments = _draw_increments(cfg, path_rng(17, 0))
+        assert increments.shape == (n, 2)
+        sample_var = float(np.var(increments, ddof=1))
         # chi-square bound: relative deviation within 5 sigma of the variance estimator
-        assert abs(sample_var / h - 1.0) <= 5.0 * math.sqrt(2.0 / (2 * n - 1))
+        assert abs(sample_var / cfg.h - 1.0) <= 5.0 * math.sqrt(2.0 / (2 * n - 1))
 
-    def test_zeros_driver(self):
-        driver = BrownianDriver.zeros(10, 0.1)
-        assert np.array_equal(driver.increments, np.zeros((10, 2)))
 
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            BrownianDriver(np.full((5, 2), np.nan), 0.1)
+def _one_step_frame(ell_p, db1, db2):
+    """Frame after one ``_kp_scan`` step from the identity."""
+    rec = _kp_scan(ell_p, 1.0, np.array([[[db1, db2]]]), want_final_frame=True)
+    return rec["final_frame"][0]
 
 
 class TestStepKp:
+    """One exponential Euler-Maruyama step of ``_kp_scan``."""
+
     def test_zero_increment_is_identity(self):
-        z = Rotation3.identity()
-        out = step_kp(z, 0.0, 0.0, 2.5)
-        assert np.array_equal(out.m, z.m)
+        assert np.array_equal(_one_step_frame(2.5, 0.0, 0.0), np.eye(3))
 
     def test_quarter_turn_toward_x(self):
         # an increment of sqrt(ell_p/2) * pi/2 on the first driver component
         # rotates the tangent by pi/2 in the x-z great circle (toward +x)
         ell_p = 3.7
-        out = step_kp(Rotation3.identity(), math.sqrt(ell_p / 2.0) * math.pi / 2.0, 0.0, ell_p)
-        assert np.allclose(out.m @ E3, [1.0, 0.0, 0.0], atol=1e-12)
+        frame = _one_step_frame(ell_p, math.sqrt(ell_p / 2.0) * math.pi / 2.0, 0.0)
+        assert np.allclose(frame @ E3, [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_second_component_rotates_toward_y(self):
         ell_p = 1.0
-        out = step_kp(Rotation3.identity(), 0.0, math.sqrt(ell_p / 2.0) * math.pi / 2.0, ell_p)
-        assert np.allclose(out.m @ E3, [0.0, 1.0, 0.0], atol=1e-12)
+        frame = _one_step_frame(ell_p, 0.0, math.sqrt(ell_p / 2.0) * math.pi / 2.0)
+        assert np.allclose(frame @ E3, [0.0, 1.0, 0.0], atol=1e-12)
 
     def test_stays_in_group_over_many_steps(self):
         rng = path_rng(71, 0)
@@ -88,18 +86,15 @@ class TestStepKp:
         rec = _kp_scan(cfg.ell_p, cfg.h, dbeta, want_final_frame=True)
         assert orthonormal_defect(rec["final_frame"][0]) <= 1e-10
 
-    def test_invalid_ell_p(self):
-        with pytest.raises(ValueError):
-            step_kp(Rotation3.identity(), 0.1, 0.1, 0.0)
-
 
 class TestSimulateKp:
     def test_zero_driver_gives_straight_rod(self):
         cfg = KpConfig(1.0, 1.0, 50)
-        path = simulate_kp(cfg, driver=BrownianDriver.zeros(cfg.n_steps, cfg.h))
-        assert np.allclose(path.positions[:, 2], path.grid, atol=1e-12)
-        assert np.allclose(path.positions[:, :2], 0.0, atol=0)
-        assert np.allclose(path.tangents, np.tile(E3, (51, 1)), atol=0)
+        rec = _kp_scan(cfg.ell_p, cfg.h, np.zeros((1, cfg.n_steps, 2)), keep_path=True)
+        positions = rec["positions_all"][0]
+        assert np.allclose(positions[:, 2], np.arange(51) * cfg.h, atol=1e-12)
+        assert np.allclose(positions[:, :2], 0.0, atol=0)
+        assert np.allclose(rec["tangents_all"][0], np.tile(E3, (51, 1)), atol=0)
 
     def test_initial_conditions(self):
         cfg = KpConfig(1.0, 0.5, 200)
@@ -130,49 +125,12 @@ class TestSimulateKp:
             assert np.linalg.det(frame) == pytest.approx(1.0, abs=1e-8)
             assert np.allclose(np.cross(frame[:, 0], frame[:, 1]), frame[:, 2], atol=1e-8)
 
-    def test_driver_injection_must_match_config(self):
-        cfg = KpConfig(1.0, 1.0, 50)
-        with pytest.raises(ValueError):
-            simulate_kp(cfg, driver=BrownianDriver.zeros(49, cfg.h))
-
-    def test_needs_rng_or_driver(self):
-        with pytest.raises(ValueError):
-            simulate_kp(KpConfig(1.0, 1.0, 10))
-
     def test_deterministic_for_fixed_stream(self):
         cfg = KpConfig(1.0, 1.0, 128)
         a = simulate_kp(cfg, path_rng(9, 4))
         b = simulate_kp(cfg, path_rng(9, 4))
         assert np.array_equal(a.positions, b.positions)
         assert np.array_equal(a.frames, b.frames)
-
-
-class TestTangentAt:
-    @pytest.fixture()
-    def path(self):
-        return simulate_kp(KpConfig(1.0, 1.0, 100), path_rng(10, 0))
-
-    def test_at_zero(self, path):
-        assert np.array_equal(tangent_at(path, 0.0).v, E3)
-
-    def test_at_grid_points(self, path):
-        for k in (1, 37, 100):
-            s = k * float(path.grid[1])
-            assert np.array_equal(tangent_at(path, s).v, path.tangents[k])
-
-    def test_floor_convention_between_points(self, path):
-        h = float(path.grid[1])
-        assert np.array_equal(tangent_at(path, 2.5 * h).v, path.tangents[2])
-
-    def test_unit_norm(self, path):
-        v = tangent_at(path, 0.7).v
-        assert abs(np.linalg.norm(v) - 1.0) <= 1e-10
-
-    def test_out_of_range(self, path):
-        with pytest.raises(ValueError):
-            tangent_at(path, -0.1)
-        with pytest.raises(ValueError):
-            tangent_at(path, 1.1)
 
 
 def _mean_tangent_z(ell_p, length, n_steps, n_paths, seed, at_index):

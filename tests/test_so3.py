@@ -4,75 +4,64 @@ import numpy as np
 import pytest
 
 from wormchain.so3 import (
-    Rotation3,
-    SkewSym3,
-    UnitVec3,
-    apply,
-    compose,
-    exp_rodrigues,
+    _qmul,
     _qnormalize,
+    _rotate,
     frame_scan,
-    hat,
     orthonormal_defect,
     quat_matrix,
-    reorthonormalize,
     rodrigues_batch,
     segment_plan,
 )
 
 
+def _quat(omega):
+    """Component-first unit quaternions of rotation vectors ``(..., 3)``."""
+    angle = np.linalg.norm(omega, axis=-1)
+    half_sinc = 0.5 * np.sinc(angle / (2.0 * math.pi))  # sin(angle/2)/angle
+    return np.concatenate([np.cos(0.5 * angle)[None],
+                           np.moveaxis(omega * half_sinc[..., None], -1, 0)])
+
+
 def rot(axis, angle):
+    """Unit quaternion of the rotation by ``angle`` about ``axis``."""
     axis = np.asarray(axis, dtype=float)
-    return exp_rodrigues(hat(angle * axis / np.linalg.norm(axis)))
+    return _quat(angle * axis / np.linalg.norm(axis))
 
 
-class TestHat:
-    def test_zero_element(self):
-        s = hat([0.0, 0.0, 0.0])
-        for w in ([1, 2, 3], [0, 0, 1], [-1, 0.5, 2]):
-            assert np.allclose(s.apply(w), 0.0)
+def _gram_schmidt(m):
+    """Independent oracle: classical Gram-Schmidt on the columns of ``m``."""
+    cols = []
+    for j in range(3):
+        v = m[:, j].copy()
+        for u in cols:
+            v -= np.dot(u, v) * u
+        cols.append(v / np.linalg.norm(v))
+    return np.stack(cols, axis=1)
 
-    def test_z_cross_x_is_y(self):
-        assert np.allclose(hat([0, 0, 1]).apply([1, 0, 0]), [0, 1, 0])
 
-    def test_v_cross_v_is_zero(self):
-        assert np.allclose(hat([1, 2, 3]).apply([1, 2, 3]), [0, 0, 0])
-
-    def test_matrix_is_exactly_skew(self):
-        m = hat([0.3, -1.2, 2.5]).as_matrix()
-        assert np.array_equal(m, -m.T)
-
-    def test_matrix_action_matches_cross_product(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            v, w = rng.normal(size=3), rng.normal(size=3)
-            assert np.allclose(hat(v).as_matrix() @ w, np.cross(v, w), atol=1e-14)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            hat([np.nan, 0.0, 0.0])
-        with pytest.raises(ValueError):
-            hat([np.inf, 0.0, 0.0])
+IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
 
 class TestExpRodrigues:
+    """The Rodrigues exponential ``rodrigues_batch``, the matrix reference
+    of the quaternion kernel."""
+
     def test_zero_gives_identity(self):
-        assert np.allclose(exp_rodrigues(hat([0, 0, 0])).m, np.eye(3), atol=0)
+        assert np.array_equal(rodrigues_batch([0.0, 0.0, 0.0]), np.eye(3))
 
     def test_quarter_turn_about_x(self):
-        r = exp_rodrigues(hat([math.pi / 2, 0, 0]))
-        assert np.allclose(apply(r, [0, 0, 1]), [0, -1, 0], atol=1e-12)
+        r = rodrigues_batch([math.pi / 2, 0, 0])
+        assert np.allclose(r @ [0, 0, 1], [0, -1, 0], atol=1e-12)
 
     def test_full_turn_is_identity(self):
-        r = exp_rodrigues(hat([0, 0, 2 * math.pi]))
-        assert np.allclose(r.m, np.eye(3), atol=1e-12)
+        assert np.allclose(rodrigues_batch([0, 0, 2 * math.pi]), np.eye(3), atol=1e-12)
 
     def test_orthogonality_on_random_inputs(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
             omega = rng.normal(scale=rng.uniform(1e-8, 3.0), size=3)
-            r = exp_rodrigues(hat(omega))
-            assert orthonormal_defect(r.m) <= 1e-12
+            assert orthonormal_defect(rodrigues_batch(omega)) <= 1e-12
 
     def test_rotates_perpendicular_vectors_by_theta(self):
         rng = np.random.default_rng(12)
@@ -82,140 +71,78 @@ class TestExpRodrigues:
             theta = rng.uniform(0.0, math.pi)
             w = np.cross(u, rng.normal(size=3))
             w /= np.linalg.norm(w)
-            rw = apply(exp_rodrigues(hat(theta * u)), w)
+            rw = rodrigues_batch(theta * u) @ w
             assert abs(np.dot(rw, w) - math.cos(theta)) <= 1e-12
 
     def test_small_angle_branch_continuity(self):
         # compare both branches just above/below the 1e-4 switchover
         for theta in (0.9999e-4, 1.0001e-4):
-            omega = np.array([theta, 0.0, 0.0])
             exact = np.array([
                 [1, 0, 0],
                 [0, math.cos(theta), -math.sin(theta)],
                 [0, math.sin(theta), math.cos(theta)],
             ])
-            assert np.allclose(exp_rodrigues(hat(omega)).m, exact, atol=1e-15)
+            assert np.allclose(rodrigues_batch([theta, 0.0, 0.0]), exact, atol=1e-15)
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(13)
         omegas = rng.normal(size=(40, 3)) * rng.uniform(1e-7, 2.0, size=(40, 1))
         batch = rodrigues_batch(omegas)
         for i, omega in enumerate(omegas):
-            assert np.array_equal(batch[i], exp_rodrigues(hat(omega)).m)
+            assert np.array_equal(batch[i], rodrigues_batch(omega))
 
 
 class TestCompose:
+    """``_qmul``, the Hamilton product that stitches the scan's segments."""
+
     def test_identity_is_neutral(self):
-        r = rot([1, 1, 0], 0.7)
-        assert np.allclose(compose(Rotation3.identity(), r).m, r.m, atol=0)
+        q = rot([1, 1, 0], 0.7)
+        assert np.array_equal(_qmul(IDENTITY, q), q)
+        assert np.array_equal(_qmul(q, IDENTITY), q)
 
     def test_inverse_gives_identity(self):
-        r = rot([0.3, -1, 2], 1.1)
-        assert np.allclose(compose(r, r.transposed()).m, np.eye(3), atol=1e-12)
+        q = rot([0.3, -1, 2], 1.1)
+        conjugate = q * [1.0, -1.0, -1.0, -1.0]
+        assert np.allclose(_qmul(q, conjugate), IDENTITY, atol=1e-15)
 
     def test_angle_addition_about_fixed_axis(self):
         half = rot([1, 0, 0], math.pi / 2)
-        assert np.allclose(compose(half, half).m, rot([1, 0, 0], math.pi).m, atol=1e-12)
+        assert np.allclose(_qmul(half, half), rot([1, 0, 0], math.pi), atol=1e-15)
 
     def test_associativity(self):
         rng = np.random.default_rng(21)
         for _ in range(25):
             a, b, c = (rot(rng.normal(size=3), rng.uniform(0, math.pi)) for _ in range(3))
-            left = compose(compose(a, b), c).m
-            right = compose(a, compose(b, c)).m
-            assert np.allclose(left, right, atol=1e-12)
+            assert np.allclose(_qmul(_qmul(a, b), c), _qmul(a, _qmul(b, c)), atol=1e-15)
+
+    def test_matrix_of_product_is_product_of_matrices(self):
+        # the stitch composes segment frames as quaternions and maps
+        # positions with their matrices; the two must agree
+        rng = np.random.default_rng(22)
+        a, b = (_quat(rng.normal(size=(20, 3))) for _ in range(2))
+        assert np.allclose(quat_matrix(_qmul(a, b)), quat_matrix(a) @ quat_matrix(b),
+                           rtol=0, atol=1e-15)
 
 
 class TestApply:
+    """``_rotate``, which maps segment-local vectors to global ones."""
+
     def test_identity(self):
         v = np.array([0.2, -0.5, 1.5])
-        assert np.allclose(apply(Rotation3.identity(), v), v, atol=0)
+        assert np.array_equal(_rotate(IDENTITY, v), v)
 
     def test_quarter_turn_about_z(self):
-        assert np.allclose(apply(rot([0, 0, 1], math.pi / 2), [1, 0, 0]), [0, 1, 0], atol=1e-12)
+        assert np.allclose(_rotate(rot([0, 0, 1], math.pi / 2), [1.0, 0.0, 0.0]), [0, 1, 0],
+                           atol=1e-15)
 
     def test_preserves_norm(self):
         rng = np.random.default_rng(31)
-        for _ in range(50):
-            r = rot(rng.normal(size=3), rng.uniform(0, math.pi))
-            v = rng.normal(size=3) * rng.uniform(0.1, 10)
-            assert abs(np.linalg.norm(apply(r, v)) - np.linalg.norm(v)) <= 1e-12 * np.linalg.norm(v)
-
-
-class TestReorthonormalize:
-    def test_exact_rotation_is_fixed_point(self):
-        r = rot([1, 2, 3], 0.9)
-        out = reorthonormalize(r)
-        assert np.allclose(out.m, r.m, atol=1e-14)
-
-    def test_perturbed_identity(self):
-        rng = np.random.default_rng(41)
-        m = np.eye(3) + 1e-6 * rng.normal(size=(3, 3))
-        out = reorthonormalize(m)
-        assert orthonormal_defect(out.m) <= 1e-14
-        assert np.linalg.det(out.m) > 0
-        # oracle: plain Gram-Schmidt done independently
-        expected = []
-        for j in range(3):
-            v = m[:, j].copy()
-            for u in expected:
-                v -= np.dot(u, v) * u
-            expected.append(v / np.linalg.norm(v))
-        assert np.allclose(out.m, np.stack(expected, axis=1), atol=1e-15)
-
-    def test_long_product_stress(self):
-        # product of one million random rotations with periodic cleanup
-        rng = np.random.default_rng(42)
-        steps = 1_000_000
-        block = 4096
-        z = np.eye(3)
-        done = 0
-        while done < steps:
-            count = min(block, steps - done)
-            mats = rodrigues_batch(rng.normal(scale=0.05, size=(count, 3)))
-            for m in mats:
-                z = z @ m
-            done += count
-            z = reorthonormalize(z).m
-        assert orthonormal_defect(z) <= 1e-14
-
-    def test_rank_deficient_raises(self):
-        bad = np.zeros((3, 3))
-        bad[:, 0] = [1.0, 0.0, 0.0]
-        bad[:, 1] = [2.0, 0.0, 0.0]
-        bad[:, 2] = [0.0, 0.0, 1.0]
-        with pytest.raises(ArithmeticError):
-            reorthonormalize(bad)
-
-class TestTypes:
-    def test_rotation_rejects_non_orthonormal(self):
-        with pytest.raises(ValueError):
-            Rotation3(np.eye(3) * 1.01)
-
-    def test_rotation_rejects_reflection(self):
-        with pytest.raises(ValueError):
-            Rotation3(np.diag([1.0, 1.0, -1.0]))
-
-    def test_unit_vector_tolerance(self):
-        UnitVec3([0.0, 0.0, 1.0])
-        with pytest.raises(ValueError):
-            UnitVec3([0.0, 0.0, 1.0 + 1e-8])
-
-    def test_values_are_immutable(self):
-        r = rot([0, 0, 1], 0.5)
-        with pytest.raises(ValueError):
-            r.m[0, 0] = 2.0
-        s = SkewSym3(np.array([1.0, 2.0, 3.0]))
-        with pytest.raises(ValueError):
-            s.omega[0] = 0.0
-
-
-def _quat(omega):
-    """Component-first unit quaternions of rotation vectors ``(..., 3)``."""
-    angle = np.linalg.norm(omega, axis=-1)
-    half_sinc = 0.5 * np.sinc(angle / (2.0 * math.pi))  # sin(angle/2)/angle
-    return np.concatenate([np.cos(0.5 * angle)[None],
-                           np.moveaxis(omega * half_sinc[..., None], -1, 0)])
+        axes = rng.normal(size=(50, 3))
+        angles = rng.uniform(0, math.pi, size=(50, 1))
+        q = _quat(angles * axes / np.linalg.norm(axes, axis=1, keepdims=True))
+        v = rng.normal(size=(3, 50)) * rng.uniform(0.1, 10, size=50)
+        norms = np.linalg.norm(v, axis=0)
+        assert np.all(np.abs(np.linalg.norm(_rotate(q, v), axis=0) - norms) <= 1e-12 * norms)
 
 
 class TestQuaternions:
@@ -241,7 +168,16 @@ class TestQuaternions:
             m = quat_matrix(batch[:, i])
             assert orthonormal_defect(m) <= 1e-14
             assert np.linalg.det(m) == pytest.approx(1.0, abs=1e-14)
-            assert np.allclose(m, reorthonormalize(quat_matrix(q[:, i])).m, atol=1e-8)
+            assert np.allclose(m, _gram_schmidt(quat_matrix(q[:, i])), atol=1e-8)
+
+
+class TestReorthonormalize:
+    """``_qnormalize``, the projection that keeps stitched frames on the group."""
+
+    def test_exact_rotation_is_fixed_point(self):
+        q = rot([1, 2, 3], 0.9)
+        assert np.allclose(_qnormalize(q), q, rtol=0, atol=1e-16)
+        assert np.allclose(quat_matrix(_qnormalize(q)), quat_matrix(q), rtol=0, atol=1e-15)
 
 
 def _rotvec_steps(omega):
