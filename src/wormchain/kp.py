@@ -154,6 +154,8 @@ def _kp_scan(ell_p: float, h: float, dbeta: np.ndarray, *,
     (h/2)(Q_{k-1} + Q_k)``.  Marks are grid indices in ``0..n``.
     ``track_sup_rod_dev`` records ``sup_k |R_k - s_k e3|`` per path.
     """
+    if not (math.isfinite(ell_p) and ell_p > 0.0):
+        raise ValueError(f"ell_p must be positive, got {ell_p!r}")
     paths, n, two = dbeta.shape
     if two != 2:
         raise ValueError(f"dbeta must have shape (C, n_steps, 2), got {dbeta.shape}")

@@ -54,6 +54,11 @@ class TestBrownianDriver:
         # chi-square bound: relative deviation within 5 sigma of the variance estimator
         assert abs(sample_var / cfg.h - 1.0) <= 5.0 * math.sqrt(2.0 / (2 * n - 1))
 
+    def test_zeros_driver(self):
+        # a zero driver leaves every frame of the path exactly the identity
+        rec = _kp_scan(1.0, 0.1, np.zeros((1, 10, 2)), keep_path=True)
+        assert np.array_equal(rec["frames_all"][0], np.tile(np.eye(3), (11, 1, 1)))
+
 
 def _one_step_frame(ell_p, db1, db2):
     """Frame after one ``_kp_scan`` step from the identity."""
@@ -85,6 +90,11 @@ class TestStepKp:
         dbeta = rng.normal(0.0, math.sqrt(cfg.h), size=(1, cfg.n_steps, 2))
         rec = _kp_scan(cfg.ell_p, cfg.h, dbeta, want_final_frame=True)
         assert orthonormal_defect(rec["final_frame"][0]) <= 1e-10
+
+    def test_invalid_ell_p(self):
+        for ell_p in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                _one_step_frame(ell_p, 0.1, 0.1)
 
 
 class TestSimulateKp:
@@ -124,6 +134,11 @@ class TestSimulateKp:
             assert orthonormal_defect(frame) <= 1e-8
             assert np.linalg.det(frame) == pytest.approx(1.0, abs=1e-8)
             assert np.allclose(np.cross(frame[:, 0], frame[:, 1]), frame[:, 2], atol=1e-8)
+
+    def test_needs_rng_or_driver(self):
+        # no default stream: every path names the generator it draws from
+        with pytest.raises(TypeError):
+            simulate_kp(KpConfig(1.0, 1.0, 10))
 
     def test_deterministic_for_fixed_stream(self):
         cfg = KpConfig(1.0, 1.0, 128)

@@ -179,6 +179,31 @@ class TestReorthonormalize:
         assert np.allclose(_qnormalize(q), q, rtol=0, atol=1e-16)
         assert np.allclose(quat_matrix(_qnormalize(q)), quat_matrix(q), rtol=0, atol=1e-15)
 
+    def test_perturbed_identity(self):
+        rng = np.random.default_rng(41)
+        q = IDENTITY + 1e-6 * rng.normal(size=4)
+        m = quat_matrix(_qnormalize(q))
+        assert orthonormal_defect(m) <= 1e-14
+        assert np.linalg.det(m) > 0
+        # oracle: the rotation the drifted quaternion stands for, by Rodrigues
+        v = q[1:]
+        omega = 2.0 * math.atan2(np.linalg.norm(v), q[0]) * v / np.linalg.norm(v)
+        assert np.allclose(m, rodrigues_batch(omega), rtol=0, atol=1e-15)
+        # and the Gram-Schmidt projection of the drifted frame, up to the
+        # square of the drift
+        assert np.allclose(m, _gram_schmidt(quat_matrix(q)), rtol=0, atol=1e-11)
+
+    def test_long_product_stress(self):
+        # product of one million random rotations through the frame kernel,
+        # whose stitch renormalizes each segment's start frame
+        rng = np.random.default_rng(42)
+        steps = 1_000_000
+        omega = np.zeros((1, steps, 3))
+        omega[..., :2] = rng.normal(scale=0.05, size=(1, steps, 2))
+        rec = frame_scan(_rotvec_steps(omega), 1, steps, weights=(0.0, 1.0),
+                         want_final_frame=True)
+        assert orthonormal_defect(rec["final_frame"][0]) <= 1e-14
+
 
 def _rotvec_steps(omega):
     """``frame_scan`` step filler for body rotation vectors ``(C, n, 3)`` with
