@@ -41,6 +41,10 @@ __all__ = [
 
 _E3 = np.array([0.0, 0.0, 1.0])
 
+# rows formatted per write in the CSV writer: bounds the Python floats and
+# strings alive at once, whatever the chain length
+_CSV_BLOCK_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class FrcConfig:
@@ -253,11 +257,13 @@ def frc_msd_oracle(cfg: FrcConfig) -> float:
 
 
 def write_chain_csv(chain: DiscreteChain, fileobj) -> None:
-    """One row per bead: n, x, y, z, phi (phi is the torsion of bond n, n >= 2)."""
-    import csv
-
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(["n", "x", "y", "z", "phi"])
-    for i, bead in enumerate(chain.beads):
-        phi = repr(float(chain.phis[i - 2])) if i >= 2 else ""
-        writer.writerow([i, repr(float(bead[0])), repr(float(bead[1])), repr(float(bead[2])), phi])
+    """One row per bead: n, x, y, z, phi (phi is the torsion of bond n, n >= 2,
+    and empty before it); numbers as ``repr`` (an exact round trip)."""
+    fileobj.write("n,x,y,z,phi\n")
+    beads, phis = chain.beads, chain.phis
+    fileobj.writelines(["%d,%r,%r,%r,\n" % (i, *row) for i, row in enumerate(beads[:2].tolist())])
+    for start in range(2, beads.shape[0], _CSV_BLOCK_ROWS):
+        stop = start + _CSV_BLOCK_ROWS
+        block = np.column_stack((beads[start:stop], phis[start - 2:stop - 2]))
+        fileobj.writelines(["%d,%r,%r,%r,%r\n" % (i, *row)
+                            for i, row in enumerate(block.tolist(), start)])

@@ -312,31 +312,77 @@ _REPORT_COLUMNS = {"observable", "s", "t", "estimate", "stderr", "oracle"}
 
 def _cmd_plotdata(args) -> int:
     import csv
+    from itertools import islice
 
     # one row in, its rows out: memory stays flat however long the input
     with open(args.report, "r", encoding="utf-8", newline="") as src:
-        reader = csv.DictReader(src)
-        fields = reader.fieldnames or []
+        reader = csv.reader(src)
+        try:
+            fields = next(reader, [])
+        except (ValueError, csv.Error) as exc:  # e.g. its first block does not decode
+            raise _UsageError(f"{args.report}: {exc}") from exc
         path_file = bool(fields) and fields[0] in ("s", "n") and "observable" not in fields
         if fields and not path_file and not _REPORT_COLUMNS <= set(fields):
             raise _UsageError(f"{args.report} is neither a report nor a path CSV "
                               f"(columns {', '.join(fields)})")
+        rows = _table_rows(reader, len(fields))
         with open(args.out, "w", encoding="utf-8", newline="") as dst:
             writer = csv.writer(dst, lineterminator="\n")
             writer.writerow(["series", "x", "y", "y_lo", "y_hi"])
-            if path_file:
-                # a simulated path/chain file: one series per numeric column
-                x_col = fields[0]
-                for row in reader:
-                    writer.writerows([col, row[x_col], row[col], row[col], row[col]]
-                                     for col in fields[1:] if row[col] != "")
-                return 0
-            for row in reader:
-                try:
-                    writer.writerows(_report_plot_rows(row))
-                except ValueError as exc:
-                    raise _UsageError(f"{args.report}, line {reader.line_num}: {exc}") from exc
+            try:
+                if path_file:
+                    # rows are formatted lazily, so a bad row stops the
+                    # writes at its own line; one write per 4096 rows
+                    lines = map(_path_plot_lines(fields), rows)
+                    for block in iter(lambda: list(islice(lines, 4096)), []):
+                        dst.write("".join(block))
+                else:
+                    for row in rows:
+                        writer.writerows(_report_plot_rows(dict(zip(fields, row))))
+            except (ValueError, csv.Error) as exc:
+                dst.close()
+                os.remove(args.out)  # a usage error leaves no partial output
+                raise _UsageError(f"{args.report}, line {reader.line_num}: {exc}") from exc
     return 0
+
+
+def _table_rows(reader, width: int):
+    """The nonblank rows of ``reader``; each must hold ``width`` cells."""
+    for row in reader:
+        if not row:
+            continue  # a blank line holds no row
+        if len(row) != width:
+            raise ValueError(f"expected {width} cells, got {len(row)}")
+        yield row
+
+
+def _path_plot_lines(fields: list[str]):
+    """Plot lines of one path-file row: ``column,x,y,y,y`` for each nonempty
+    cell after the first, with x the first cell.
+
+    Every nonempty cell must be a number without a line break, so the cells
+    need no CSV quoting; each column name is quoted once, as ``csv.writer``
+    quotes it.
+    """
+    import csv
+    import io
+
+    prefixes = []
+    for name in fields[1:]:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow([name, ""])
+        prefixes.append(buf.getvalue()[:-1])  # the quoted name and its comma
+
+    def lines(row: list[str]) -> str:
+        text = ",".join(row)
+        if "\n" in text or "\r" in text:
+            raise ValueError("a cell holds a line break")
+        list(map(float, filter(None, row)))  # raises on the first cell that is no number
+        x = row[0]
+        return "".join([f"{prefix}{x},{y},{y},{y}\n"
+                        for prefix, y in zip(prefixes, row[1:]) if y])
+
+    return lines
 
 
 def _report_plot_rows(row: dict) -> list[list[str]]:

@@ -238,9 +238,17 @@ def _chunk_ranges(model, n_paths: int) -> list[tuple[int, int]]:
     return [(start, min(start + size, n_paths)) for start in range(0, n_paths, size)]
 
 
-def _check_n_paths(n_paths: int) -> None:
-    if n_paths < 2:
-        raise ValueError(f"n_paths must be at least 2, got {n_paths}")
+# A z-tested row divides by the sample stderr of its n_paths values.  Below
+# about 30 paths that stderr is itself too noisy (z follows Student's t with
+# n_paths - 1 degrees of freedom, far from the normal the threshold assumes),
+# and it is large enough to pass any oracle: at 3 paths the correlation
+# suite reads |z| <= 0.4.
+_MIN_Z_TEST_PATHS = 30
+
+
+def _check_n_paths(n_paths: int, minimum: int = 2) -> None:
+    if n_paths < minimum:
+        raise ValueError(f"n_paths must be at least {minimum}, got {n_paths}")
 
 
 def run_ensemble(model, n_paths: int, observables, seed: int, *,
@@ -377,8 +385,11 @@ def _run_rows(model, n_paths: int, seed: int, rows, threshold: float,
     A row is a :class:`_Check`, a :class:`_Bound` or a finished
     closed-form :class:`ComparisonReport`.  Rows whose arclengths snapped
     onto one grid point share a name; each name is reported once, first
-    row first.
+    row first.  A run with a :class:`_Check` row needs at least
+    ``_MIN_Z_TEST_PATHS`` paths.
     """
+    if any(isinstance(row, _Check) for row in rows):
+        _check_n_paths(n_paths, _MIN_Z_TEST_PATHS)
     observables: dict[str, Observable] = {}
     for row in rows:
         if not isinstance(row, ComparisonReport):
@@ -556,10 +567,10 @@ def convergence_table(contour_length: float, kappa: float, n_list, n_paths: int,
 def _diagnostics_config(contour_length: float, ell_p: float, n_steps, n_paths: int,
                         grid_points: int) -> KpConfig:
     """Validate a diagnostics suite's parameters, so that bad input fails
-    before any regime warning is printed."""
+    before any regime warning is printed.  Both suites z-test rows."""
     if grid_points < 1:
         raise ValueError(f"grid_points must be >= 1, got {grid_points!r}")
-    _check_n_paths(n_paths)
+    _check_n_paths(n_paths, _MIN_Z_TEST_PATHS)
     return KpConfig.create(contour_length, ell_p, n_steps)
 
 

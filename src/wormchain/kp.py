@@ -42,6 +42,10 @@ __all__ = [
     "write_path_csv",
 ]
 
+# rows formatted per write in the CSV writer: bounds the Python floats and
+# strings alive at once, whatever the path length
+_CSV_BLOCK_ROWS = 4096
+
 
 def default_n_steps(contour_length: float, ell_p: float) -> int:
     """Grid resolution that resolves the correlation length with >= 50 steps."""
@@ -184,10 +188,11 @@ def simulate_kp(cfg: KpConfig, rng: np.random.Generator) -> PathSample:
 
 
 def write_path_csv(path: PathSample, fileobj) -> None:
-    """One row per grid point: s, Qx, Qy, Qz, Rx, Ry, Rz."""
-    import csv
-
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(["s", "Qx", "Qy", "Qz", "Rx", "Ry", "Rz"])
-    for s, q, r in zip(path.grid, path.tangents, path.positions):
-        writer.writerow([repr(float(s))] + [repr(float(x)) for x in q] + [repr(float(x)) for x in r])
+    """One row per grid point: s, Qx, Qy, Qz, Rx, Ry, Rz; numbers as
+    ``repr`` (an exact round trip)."""
+    fileobj.write("s,Qx,Qy,Qz,Rx,Ry,Rz\n")
+    n = path.grid.shape[0]
+    for start in range(0, n, _CSV_BLOCK_ROWS):
+        rows = slice(start, start + _CSV_BLOCK_ROWS)
+        block = np.column_stack((path.grid[rows], path.tangents[rows], path.positions[rows]))
+        fileobj.writelines(["%r,%r,%r,%r,%r,%r,%r\n" % tuple(row) for row in block.tolist()])

@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 
@@ -269,6 +270,33 @@ class TestSerialization:
         rows = [line.split(",") for line in buf.getvalue().splitlines()[1:]]
         beads = np.array([[float(r[1]), float(r[2]), float(r[3])] for r in rows])
         assert np.array_equal(beads, chain.beads)
+
+    def test_csv_matches_csv_writer_reference(self):
+        # two full 4096-row blocks after the two torsion-free beads and a
+        # ragged one, with signed zero, the smallest subnormal, a huge value
+        n = 2 * 4096 + 2 + 1805
+        rng = np.random.default_rng(12)
+        beads = rng.normal(size=(n + 1, 3)) * 50.0
+        phis = rng.uniform(0.0, 2.0 * math.pi, size=n - 1)
+        beads[2:5, 1] = (-0.0, 5e-324, 1e300)
+        phis[[0, 4095, 4096, n - 2]] = (-0.0, 5e-324, 1e300, 0.0)
+        chain = DiscreteChain(beads=beads, phis=phis)
+        buf = io.StringIO()
+        write_chain_csv(chain, buf)
+
+        # the earlier writer: csv.writer, one repr per cell
+        ref = io.StringIO()
+        writer = csv.writer(ref, lineterminator="\n")
+        writer.writerow(["n", "x", "y", "z", "phi"])
+        for i, bead in enumerate(chain.beads):
+            phi = repr(float(chain.phis[i - 2])) if i >= 2 else ""
+            writer.writerow([i, repr(float(bead[0])), repr(float(bead[1])),
+                             repr(float(bead[2])), phi])
+        assert buf.getvalue() == ref.getvalue()
+        lines = buf.getvalue().splitlines()
+        assert len(lines) == n + 2
+        assert lines[1].endswith(",") and lines[2].endswith(",")  # two empty phi cells
+        assert lines[3].endswith(",-0.0")
 
     def test_invalid_shapes_rejected(self):
         with pytest.raises(ValueError):

@@ -285,6 +285,20 @@ class TestBadInput:
                                 "--seed", 1, "--out-dir", tmp_path)
         assert "snaps to grid index 0" in err
 
+    @pytest.mark.parametrize("suite, args", [
+        ("correlation", ("--n-steps", 100)),
+        ("msd", ("--n-steps", 100)),
+        ("converge", ("--n-list", "8,32")),
+        ("hard-rod", ("--ell-p", 10)),                        # would warn: ell_p < 100 L
+        ("random-coil", ("--ell-p", 0.5, "--n-steps", 50)),   # would warn: ell_p > L/100
+    ])
+    def test_too_few_paths_for_z_tests(self, capsys, tmp_path, suite, args):
+        # with 3 paths the correlation suite once passed at |z| <= 0.4
+        err = self._usage_error(capsys, "verify", "--suite", suite, *args, "--n-paths", 29,
+                                "--seed", 1, "--out-dir", tmp_path)
+        assert "n_paths must be at least 30, got 29" in err
+        assert not (tmp_path / f"report-{suite}.csv").exists()
+
     def test_negative_seed_in_config_file(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("seed = -5\n")
@@ -440,6 +454,64 @@ class TestPlotdata:
                        "qq[k1=0,k2=5],0.0,0.5,oops,0.1,0.3,0.0,True\n")
         assert run_cli("plotdata", "--report", bad, "--out", tmp_path / "out.csv") == 2
         assert "line 2" in capsys.readouterr().err
+
+    def test_quoted_column_names_keep_their_quoting(self, tmp_path):
+        # column names that csv must quote; the expected bytes were written by
+        # the csv.writer version of plotdata
+        path_csv = tmp_path / "path.csv"
+        path_csv.write_text('s,"R,x","say ""hi""","two\nlines",,Qz\n'
+                            "0.0,1.0,,2.5,-0.0,5e-324\n"
+                            "0.5,1e+300,-1.5,nan,3,inf\n", newline="")
+        out = tmp_path / "plot.csv"
+        assert run_cli("plotdata", "--report", path_csv, "--out", out) == 0
+        assert out.read_bytes() == (
+            b'series,x,y,y_lo,y_hi\n"R,x",0.0,1.0,1.0,1.0\n"two\nlines",0.0,2.5,2.5,2.5\n'
+            b',0.0,-0.0,-0.0,-0.0\nQz,0.0,5e-324,5e-324,5e-324\n"R,x",0.5,1e+300,1e+300,1e+300\n'
+            b'"say ""hi""",0.5,-1.5,-1.5,-1.5\n"two\nlines",0.5,nan,nan,nan\n,0.5,3,3,3\n'
+            b'Qz,0.5,inf,inf,inf\n')
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("s,Qx,Qy\n0.0,1.0\n0.1,oops,2.0\n", 2, "expected 3 cells, got 2"),
+        ("s,Qx,Qy\n0.0,1.0,2.0\n0.1,oops,2.0\n", 3, "'oops'"),
+        ("s,Qx,Qy\n0.0,1.0,2.0,3.0\n", 2, "expected 3 cells, got 4"),
+        ('n,x\n0,"1.0\n"\n', 3, "line break"),
+        ('n,x\n0,"\r1.0"\n', 3, "line break"),
+        ("observable,s,t,estimate,stderr,oracle,z,pass\nqq,0.0,0.5\n", 2, "expected 8 cells"),
+    ], ids=["short-row", "not-a-number", "long-row", "newline", "carriage-return",
+            "short-report-row"])
+    def test_malformed_rows_are_usage_errors(self, tmp_path, capsys, text, line, message):
+        # a short row, a cell that is no number and a number holding a line
+        # break were once written through, and a short report row crashed
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text, newline="")
+        out = tmp_path / "out.csv"
+        assert run_cli("plotdata", "--report", bad, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"line {line}:" in err and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("size", [10, 100_000])
+    def test_undecodable_input_is_usage_error(self, tmp_path, capsys, size):
+        # the text layer decodes in blocks: a bad byte in the first one
+        # fails the header, a later one fails a row
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"s,Qx\n" + b"0.5,1.0\n" * size + b"0.1,\xff\n")
+        out = tmp_path / "out.csv"
+        assert run_cli("plotdata", "--report", bad, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "decode" in err and err.count("\n") == 1, err
+        assert not out.exists()
+
+    def test_usage_error_leaves_no_partial_output(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("observable,s,t,estimate,stderr,oracle,z,pass\n"
+                       '"qq[k1=0,k2=5]",0.0,0.5,0.4,0.1,0.3,0.0,True\n'
+                       '"qq[k1=0,k2=9]",0.0,0.9,oops,0.1,0.3,0.0,True\n')
+        out = tmp_path / "out.csv"
+        assert run_cli("plotdata", "--report", bad, "--out", out) == 2
+        assert "line 3" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_input_is_io_error(self, tmp_path):
         assert run_cli("plotdata", "--report", tmp_path / "nope.csv",

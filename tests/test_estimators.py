@@ -373,6 +373,21 @@ class TestSuites:
         assert len(names) == len(set(names))
         assert names.count("frc-corr[N=2,k=1]") == 1
 
+    def test_z_tested_suites_need_30_paths(self):
+        cfg = KpConfig(1.0, 1.0, 40)
+        suites = (lambda n: kp_correlation_suite(cfg, n, seed=1),
+                  lambda n: kp_msd_suite(cfg, n, seed=1),
+                  lambda n: frc_reference_suite(FrcConfig.scaled(30, 1.0, 1.0), n, seed=1),
+                  lambda n: convergence_table(1.0, 1.0, [4, 8], n, seed=1),
+                  lambda n: hard_rod_diagnostics(1.0e4, 1.0, n, 1, seed=1, n_steps=40),
+                  lambda n: random_coil_diagnostics(0.01, 1.0, n, 1, seed=1, n_steps=1000))
+        for suite in suites:
+            with pytest.raises(ValueError, match="n_paths must be at least 30, got 29"):
+                suite(29)
+            assert suite(30)
+        # an ensemble alone still needs only two paths
+        assert run_ensemble(cfg, 2, (msd_observable(cfg, 0.5),), seed=1).count == 2
+
     def test_diagnostics_reject_empty_grid(self):
         with pytest.raises(ValueError, match="grid_points"):
             hard_rod_diagnostics(1.0e4, 1.0, 8, 0, seed=0, n_steps=50)
@@ -381,7 +396,7 @@ class TestSuites:
 
     def test_hard_rod_regime_warning(self):
         with pytest.warns(RuntimeWarning):
-            hard_rod_diagnostics(10.0, 1.0, 8, 1, seed=0, n_steps=50)
+            hard_rod_diagnostics(10.0, 1.0, 30, 1, seed=0, n_steps=50)
 
     def test_random_coil_diagnostics(self):
         reports = random_coil_diagnostics(0.01, 1.0, 600, 2, seed=22)
@@ -395,13 +410,13 @@ class TestSuites:
 
     def test_random_coil_grid_resolution(self):
         with pytest.raises(ValueError, match="n_steps >= 1000"):
-            random_coil_diagnostics(0.01, 1.0, 8, 1, seed=0, n_steps=999)
+            random_coil_diagnostics(0.01, 1.0, 30, 1, seed=0, n_steps=999)
         # h = ell_p/10 exactly is accepted
-        assert len(random_coil_diagnostics(0.01, 1.0, 8, 1, seed=0, n_steps=1000)) == 10
+        assert len(random_coil_diagnostics(0.01, 1.0, 30, 1, seed=0, n_steps=1000)) == 10
 
     def test_random_coil_regime_warning(self):
         with pytest.warns(RuntimeWarning):
-            random_coil_diagnostics(0.5, 1.0, 8, 1, seed=0, n_steps=50)
+            random_coil_diagnostics(0.5, 1.0, 30, 1, seed=0, n_steps=50)
 
 
 class TestReportSerialization:

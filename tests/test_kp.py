@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 
@@ -7,6 +8,7 @@ import pytest
 from wormchain.estimators import path_rng
 from wormchain.kp import (
     KpConfig,
+    PathSample,
     default_n_steps,
     simulate_kp,
     write_path_csv,
@@ -224,3 +226,27 @@ class TestSerialization:
         positions = np.array([[float(r[4]), float(r[5]), float(r[6])] for r in rows])
         assert np.array_equal(tangents, path.tangents)
         assert np.array_equal(positions, path.positions)
+
+    def test_csv_matches_csv_writer_reference(self):
+        # three full 4096-row blocks and a ragged one, with signed zero, the
+        # smallest subnormal, a huge value and non-finite cells
+        n = 3 * 4096 + 6
+        rng = np.random.default_rng(11)
+        tangents = rng.normal(size=(n + 1, 3))
+        positions = rng.normal(size=(n + 1, 3)) * 1e3
+        tangents[1] = (-0.0, 5e-324, 1e300)
+        positions[4096, :] = (np.inf, -np.inf, np.nan)
+        path = PathSample(grid=np.arange(n + 1) * 0.1, frames=np.zeros((n + 1, 3, 3)),
+                          tangents=tangents, positions=positions)
+        buf = io.StringIO()
+        write_path_csv(path, buf)
+
+        # the earlier writer: csv.writer, one repr per cell
+        ref = io.StringIO()
+        writer = csv.writer(ref, lineterminator="\n")
+        writer.writerow(["s", "Qx", "Qy", "Qz", "Rx", "Ry", "Rz"])
+        for s, q, r in zip(path.grid, path.tangents, path.positions):
+            writer.writerow([repr(float(s))] + [repr(float(x)) for x in q]
+                            + [repr(float(x)) for x in r])
+        assert buf.getvalue() == ref.getvalue()
+        assert "\n0.1,-0.0,5e-324,1e+300," in buf.getvalue()
