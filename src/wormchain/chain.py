@@ -103,17 +103,6 @@ class FrcConfig:
     def contour_length(self) -> float:
         return self.n_bonds * self.bond_length
 
-    @property
-    def kappa(self) -> float:
-        return self.bond_angle * math.sqrt(self.n_bonds)
-
-    @property
-    def ell_p(self) -> float:
-        """Persistence length 2L/kappa^2 = 2a/theta^2 (inf for a rigid rod)."""
-        if self.bond_angle == 0.0:
-            return math.inf
-        return 2.0 * self.bond_length / self.bond_angle**2
-
 
 @dataclass(frozen=True, eq=False)
 class DiscreteChain:
@@ -136,15 +125,6 @@ class DiscreteChain:
         phis.setflags(write=False)
         object.__setattr__(self, "beads", beads)
         object.__setattr__(self, "phis", phis)
-
-    @property
-    def n_bonds(self) -> int:
-        return self.beads.shape[0] - 1
-
-    @property
-    def bond_length(self) -> float:
-        # R_1 = (0, 0, a) exactly by construction
-        return float(self.beads[1, 2])
 
 
 def _frc_steps(theta: float, phis: np.ndarray):

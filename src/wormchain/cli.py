@@ -325,7 +325,8 @@ def _cmd_plotdata(args) -> int:
         if fields and not path_file and not _REPORT_COLUMNS <= set(fields):
             raise _UsageError(f"{args.report} is neither a report nor a path CSV "
                               f"(columns {', '.join(fields)})")
-        rows = _table_rows(reader, len(fields))
+        first_line = [1]
+        rows = _table_rows(reader, len(fields), first_line)
         with open(args.out, "w", encoding="utf-8", newline="") as dst:
             writer = csv.writer(dst, lineterminator="\n")
             writer.writerow(["series", "x", "y", "y_lo", "y_hi"])
@@ -342,18 +343,24 @@ def _cmd_plotdata(args) -> int:
             except (ValueError, csv.Error) as exc:
                 dst.close()
                 os.remove(args.out)  # a usage error leaves no partial output
-                raise _UsageError(f"{args.report}, line {reader.line_num}: {exc}") from exc
+                raise _UsageError(f"{args.report}, line {first_line[0]}: {exc}") from exc
     return 0
 
 
-def _table_rows(reader, width: int):
-    """The nonblank rows of ``reader``; each must hold ``width`` cells."""
+def _table_rows(reader, width: int, first_line: list[int]):
+    """The nonblank rows of ``reader``; each must hold ``width`` cells.
+
+    ``first_line[0]`` is kept at the first line of the record read last, so
+    an error names where its record starts, not the last line of a quoted
+    cell that spans lines.
+    """
+    first_line[0] = reader.line_num + 1
     for row in reader:
-        if not row:
-            continue  # a blank line holds no row
-        if len(row) != width:
-            raise ValueError(f"expected {width} cells, got {len(row)}")
-        yield row
+        if row:  # a blank line holds no row
+            if len(row) != width:
+                raise ValueError(f"expected {width} cells, got {len(row)}")
+            yield row
+        first_line[0] = reader.line_num + 1
 
 
 def _path_plot_lines(fields: list[str]):

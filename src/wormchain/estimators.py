@@ -51,6 +51,11 @@ __all__ = [
 
 DEFAULT_Z_THRESHOLD = 4.0
 
+# Frozen regression bounds of the hard-rod suite: the mean longitudinal over
+# mean transverse fluctuation, and the mean sup deviation from the rod.
+_ROD_RATIO_BOUND = 0.05
+_ROD_SUP_BOUND = 0.05
+
 # Cap on per-chunk random-increment elements (doubles); keeps the largest
 # runs near 134 MB of draw memory while amortizing numpy call overhead.
 _CHUNK_BUDGET = 1 << 24
@@ -251,6 +256,13 @@ def _check_n_paths(n_paths: int, minimum: int = 2) -> None:
         raise ValueError(f"n_paths must be at least {minimum}, got {n_paths}")
 
 
+def _check_threshold(threshold: float) -> None:
+    # a bound row's slack is bound/threshold, and a z-test needs a finite
+    # cut: 0 divides by zero, nan fails every row and inf passes every row
+    if not (math.isfinite(threshold) and threshold > 0.0):
+        raise ValueError(f"threshold must be finite and positive, got {threshold!r}")
+
+
 def run_ensemble(model, n_paths: int, observables, seed: int, *,
                  workers: int = 1) -> EnsembleSummary:
     """Generate ``n_paths`` independent paths and accumulate observables.
@@ -388,6 +400,7 @@ def _run_rows(model, n_paths: int, seed: int, rows, threshold: float,
     row first.  A run with a :class:`_Check` row needs at least
     ``_MIN_Z_TEST_PATHS`` paths.
     """
+    _check_threshold(threshold)
     if any(isinstance(row, _Check) for row in rows):
         _check_n_paths(n_paths, _MIN_Z_TEST_PATHS)
     observables: dict[str, Observable] = {}
@@ -444,6 +457,7 @@ def _msd_check(cfg: KpConfig, t: float) -> _Check:
 def estimate_tangent_correlation(summary: EnsembleSummary, s: float, t: float, *,
                                  threshold: float = DEFAULT_Z_THRESHOLD) -> ComparisonReport:
     """Compare the Monte Carlo mean of Q_s . Q_t to exp(-2|t-s|/ell_p)."""
+    _check_threshold(threshold)
     if not isinstance(summary.model, KpConfig):
         raise ValueError("tangent correlation estimates need a wormlike-chain summary")
     return _tangent_check(summary.model, s, t).report(summary, threshold)
@@ -452,6 +466,7 @@ def estimate_tangent_correlation(summary: EnsembleSummary, s: float, t: float, *
 def estimate_msd(summary: EnsembleSummary, t: float, *,
                  threshold: float = DEFAULT_Z_THRESHOLD) -> ComparisonReport:
     """Compare the Monte Carlo mean of |R_t|^2 to the closed form."""
+    _check_threshold(threshold)
     if not isinstance(summary.model, KpConfig):
         raise ValueError("mean-squared-position estimates need a wormlike-chain summary")
     return _msd_check(summary.model, t).report(summary, threshold)
@@ -530,13 +545,16 @@ def convergence_table(contour_length: float, kappa: float, n_list, n_paths: int,
     n_list = [int(n) for n in n_list]
     if not n_list or any(n < 2 for n in n_list):
         raise ValueError(f"every N in n_list must be >= 2, got {n_list}")
-    ell_p = 2.0 * contour_length / kappa**2
+    cfgs = [FrcConfig.scaled(n, contour_length, kappa) for n in n_list]
+    ell_p = 2.0 * contour_length / kappa**2 if kappa**2 > 0.0 else math.inf
+    if math.isinf(ell_p):  # kappa**2 underflows to 0, or 2L/kappa**2 overflows
+        raise ValueError(f"ell_p = 2L/kappa^2 overflows for L = {contour_length!r}, "
+                         f"kappa = {kappa!r}")
     corr_gaps: dict[float, list[float]] = {f: [] for f in fractions}
     msd_gaps: list[float] = []
     reports: list[ComparisonReport] = []
 
-    for n in n_list:
-        cfg = FrcConfig.scaled(n, contour_length, kappa)
+    for n, cfg in zip(n_list, cfgs):
         rows = []
         for f in fractions:
             k = min(n - 1, int(round(f * n)))
@@ -565,12 +583,13 @@ def convergence_table(contour_length: float, kappa: float, n_list, n_paths: int,
 
 
 def _diagnostics_config(contour_length: float, ell_p: float, n_steps, n_paths: int,
-                        grid_points: int) -> KpConfig:
+                        grid_points: int, threshold: float) -> KpConfig:
     """Validate a diagnostics suite's parameters, so that bad input fails
     before any regime warning is printed.  Both suites z-test rows."""
     if grid_points < 1:
         raise ValueError(f"grid_points must be >= 1, got {grid_points!r}")
     _check_n_paths(n_paths, _MIN_Z_TEST_PATHS)
+    _check_threshold(threshold)
     return KpConfig.create(contour_length, ell_p, n_steps)
 
 
@@ -584,20 +603,18 @@ def hard_rod_diagnostics(ell_p: float, contour_length: float, n_paths: int,
                          grid_points: int, seed: int, *,
                          n_steps: int | None = None,
                          threshold: float = DEFAULT_Z_THRESHOLD,
-                         workers: int = 1,
-                         sup_bound: float = 0.05,
-                         third_component_ratio_bound: float = 0.05) -> list[ComparisonReport]:
+                         workers: int = 1) -> list[ComparisonReport]:
     """Stiff-limit diagnostics: Gaussian bending fluctuations about the rod.
 
     Checks ``Var(sqrt(ell_p) * R^i_s)`` for the transverse components
     against ``2 * hard_rod_fluctuation_cov(s, s) = 2*s^3/3`` (the factor 2
     is the ``sqrt(2/ell_p)`` frame-step scale of the ``exp(-2|t-s|/ell_p)``
     convention; see the ``analytics`` module docstring), that the scaled
-    longitudinal fluctuation is small relative to the transverse ones, and
-    that the mean sup-deviation from the rod stays under a frozen regression
-    bound.
+    longitudinal fluctuation is under 0.05 of the transverse ones, and that
+    the mean sup-deviation from the rod stays under 0.05; both bounds are
+    frozen regression bounds.
     """
-    cfg = _diagnostics_config(contour_length, ell_p, n_steps, n_paths, grid_points)
+    cfg = _diagnostics_config(contour_length, ell_p, n_steps, n_paths, grid_points, threshold)
     rows = []
     for j in range(1, grid_points + 1):
         k = _snap_index(cfg, j * contour_length / grid_points)
@@ -606,9 +623,8 @@ def hard_rod_diagnostics(ell_p: float, contour_length: float, n_paths: int,
         var = tuple(Observable(f"rodvar{i + 1}[k={k}]", "coord_sq", (i, k, center, ell_p))
                     for i, center in enumerate((0.0, 0.0, s_snap)))
         rows += [_Check(var[0], oracle, s=s_snap), _Check(var[1], oracle, s=s_snap),
-                 _Bound(f"rodvar3-ratio[k={k}]", var, _rod_ratio,
-                        third_component_ratio_bound, s=s_snap)]
-    rows.append(_Bound("rodsup", (Observable("rodsup", "sup_rod_dev"),), float, sup_bound))
+                 _Bound(f"rodvar3-ratio[k={k}]", var, _rod_ratio, _ROD_RATIO_BOUND, s=s_snap)]
+    rows.append(_Bound("rodsup", (Observable("rodsup", "sup_rod_dev"),), float, _ROD_SUP_BOUND))
     if ell_p < 100.0 * contour_length:
         warnings.warn(
             f"hard-rod diagnostics expect ell_p >= 100*L; got ell_p={ell_p!r}, L={contour_length!r}",
@@ -629,7 +645,7 @@ def random_coil_diagnostics(ell_p: float, contour_length: float, n_paths: int,
     exact mean-squared-position form.  The grid must resolve ``ell_p``:
     ``h = L/n_steps <= ell_p/10``, else ``ValueError``.
     """
-    cfg = _diagnostics_config(contour_length, ell_p, n_steps, n_paths, grid_points)
+    cfg = _diagnostics_config(contour_length, ell_p, n_steps, n_paths, grid_points, threshold)
     scale = 3.0 / ell_p
     rows = []
     for g in range(1, grid_points + 1):

@@ -14,7 +14,8 @@ Ensembles and long paths run through the shared kernel
 the step by rotation vector ``omega`` (angle ``a = |omega|``) is the
 quaternion ``(cos(a/2), sin(a/2)/a * omega)``, and a batch is cut into time
 segments that are scanned side by side and then stitched (see
-:mod:`wormchain.so3`).
+:mod:`wormchain.so3`).  The frame is only the means: a :class:`PathSample`
+keeps the curve, its grid, tangents and positions.
 
 Noise normalization: the per-step rotation vector is
 ``sqrt(2/ell_p) * (-db2, db1, 0)`` with ``db1, db2 ~ N(0, h)``.  The factor
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .so3 import _SMALL_ANGLE, frame_scan
+from .so3 import frame_scan
 
 __all__ = [
     "KpConfig",
@@ -41,6 +42,10 @@ __all__ = [
     "simulate_kp",
     "write_path_csv",
 ]
+
+# Below this rotation angle the step's sin(a/2)/a loses relative precision
+# to its closed form; switch to the series.
+_SMALL_ANGLE = 1e-4
 
 # rows formatted per write in the CSV writer: bounds the Python floats and
 # strings alive at once, whatever the path length
@@ -81,30 +86,20 @@ class KpConfig:
 
 @dataclass(frozen=True, eq=False)
 class PathSample:
-    """A realized path on the grid: frames Z_k, tangents Q_k, positions R_k."""
+    """A realized path on the grid: arclengths s_k, tangents Q_k, positions R_k."""
 
     grid: np.ndarray       # (n+1,)
-    frames: np.ndarray     # (n+1, 3, 3)
     tangents: np.ndarray   # (n+1, 3)
     positions: np.ndarray  # (n+1, 3)
 
     def __post_init__(self) -> None:
-        for name in ("grid", "frames", "tangents", "positions"):
+        for name in ("grid", "tangents", "positions"):
             arr = np.asarray(getattr(self, name), dtype=np.float64).copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         n = self.grid.shape[0]
-        if (self.frames.shape != (n, 3, 3) or self.tangents.shape != (n, 3)
-                or self.positions.shape != (n, 3)):
-            raise ValueError("grid, frames, tangents and positions lengths disagree")
-
-    @property
-    def n_steps(self) -> int:
-        return self.grid.shape[0] - 1
-
-    @property
-    def contour_length(self) -> float:
-        return float(self.grid[-1])
+        if self.tangents.shape != (n, 3) or self.positions.shape != (n, 3):
+            raise ValueError("grid, tangents and positions lengths disagree")
 
 
 def _kp_steps(ell_p: float, dbeta: np.ndarray):
@@ -179,12 +174,8 @@ def simulate_kp(cfg: KpConfig, rng: np.random.Generator) -> PathSample:
     """Simulate one path on the uniform grid from the stream ``rng``."""
     rec = _kp_scan(cfg.ell_p, cfg.h, _draw_increments(cfg, rng)[None], keep_path=True)
     grid = np.arange(cfg.n_steps + 1, dtype=np.float64) * cfg.h
-    return PathSample(
-        grid=grid,
-        frames=rec["frames_all"][0],
-        tangents=rec["tangents_all"][0],
-        positions=rec["positions_all"][0],
-    )
+    return PathSample(grid=grid, tangents=rec["tangents_all"][0],
+                      positions=rec["positions_all"][0])
 
 
 def write_path_csv(path: PathSample, fileobj) -> None:

@@ -1,18 +1,16 @@
 """Exact math for the rotation group SO(3): the frame kernel of both chains.
 
-Conventions used throughout the package:
-
-* ``rodrigues_batch(theta * u)`` for a unit axis ``u`` is the right-handed
-  rotation by angle ``theta`` about ``u``, as a 3x3 matrix.
-* A unit quaternion ``(w, x, y, z)`` stands for the rotation by ``2*acos(w)``
-  about ``(x, y, z)``; ``quat_matrix`` gives its 3x3 matrix, whose third
-  column ``(2(xz + wy), 2(yz - wx), 1 - 2(x^2 + y^2))`` is the tangent.
+A unit quaternion ``(w, x, y, z)`` stands for the right-handed rotation by
+``2*acos(w)`` about ``(x, y, z)``; ``quat_matrix`` gives its 3x3 matrix,
+whose third column ``(2(xz + wy), 2(yz - wx), 1 - 2(x^2 + y^2))`` is the
+tangent.
 
 The path kernel :func:`frame_scan`, shared by the freely rotating chain and
 the wormlike chain, carries each moving frame as a unit quaternion: a step
 right-multiplies it by ``(cos(a/2), sin(a/2) u_x, sin(a/2) u_y, 0)``, the
-rotation by ``a`` about a body axis ``u`` perpendicular to the tangent.
-:func:`rodrigues_batch` is the matrix reference the kernel is tested against.
+rotation by ``a`` about a body axis ``u`` perpendicular to the tangent.  The
+frame is a means to the curve: a scan returns tangents and positions, and
+a frame matrix only for the final state on request.
 
 Segment plan: a batch of C paths of n steps is cut into B time segments of
 ``L = ceil(n/B)`` steps, ``B = min(n, 4096 // C, floor(sqrt(n)))``.  All C*B
@@ -34,15 +32,10 @@ import numpy as np
 
 __all__ = [
     "orthonormal_defect",
-    "rodrigues_batch",
     "quat_matrix",
     "segment_plan",
     "frame_scan",
 ]
-
-# Below this angle the closed-form coefficients sin(t)/t and (1-cos t)/t^2
-# lose relative precision; switch to their 4th-order series.
-_SMALL_ANGLE = 1e-4
 
 # Widest batch of segments one scan step advances; matches the widest
 # ensemble chunk, so narrow chunks are widened by cutting paths into segments.
@@ -54,49 +47,6 @@ def orthonormal_defect(m) -> float:
     m = np.asarray(m, dtype=np.float64)
     g = m.T @ m if m.ndim == 2 else np.swapaxes(m, -1, -2) @ m
     return float(np.linalg.norm(g - np.eye(3)))
-
-
-def rodrigues_batch(omega: np.ndarray) -> np.ndarray:
-    """Rodrigues exponential of a stack of rotation vectors.
-
-    Parameters
-    ----------
-    omega : (..., 3) ndarray
-        Rotation vectors (angle times unit axis).
-
-    Returns
-    -------
-    (..., 3, 3) ndarray
-        The exponential of the skew matrix ``K`` of each ``w = omega``
-        (``K v = w x v``).  Uses the closed form ``R = (1 - B t^2) I + A K
-        + B w w^T`` with ``t = |w|``, ``A = sin(t)/t`` and ``B = (1 - cos
-        t)/t^2``, switching to series below ``1e-4`` radians.
-    """
-    omega = np.asarray(omega, dtype=np.float64)
-    t2 = np.sum(omega * omega, axis=-1)
-    t = np.sqrt(t2)
-    small = t < _SMALL_ANGLE
-    safe = np.where(small, 1.0, t)
-    a = np.where(small, 1.0 - t2 / 6.0 * (1.0 - t2 / 20.0), np.sin(t) / safe)
-    b = np.where(small, 0.5 - t2 / 24.0 * (1.0 - t2 / 30.0), (1.0 - np.cos(t)) / (safe * safe))
-    c = 1.0 - b * t2  # equals cos(t), consistently with the series branch
-
-    x, y, z = omega[..., 0], omega[..., 1], omega[..., 2]
-    zero = np.zeros_like(x)
-    k = np.stack(
-        [
-            np.stack([zero, -z, y], axis=-1),
-            np.stack([z, zero, -x], axis=-1),
-            np.stack([-y, x, zero], axis=-1),
-        ],
-        axis=-2,
-    )
-    outer = omega[..., :, None] * omega[..., None, :]
-    return (
-        c[..., None, None] * np.eye(3)
-        + a[..., None, None] * k
-        + b[..., None, None] * outer
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +108,9 @@ def frame_scan(step, paths: int, n_steps: int, *, weights: tuple[float, float],
     Returns ``tangents`` and ``positions``, dicts from each state index in
     ``marks`` (``0..n``) to ``(C, 3)`` arrays; with ``rod_step`` set,
     ``sup_rod_dev = sup_k |r_k - k*rod_step*e3|``; optionally the
-    ``(C, 3, 3)`` ``final_frame`` and the full ``frames_all``,
-    ``tangents_all`` and ``positions_all``.  The time segments follow
-    :func:`segment_plan`.
+    ``(C, 3, 3)`` ``final_frame`` and, with ``keep_path``, every state's
+    ``tangents_all`` and ``positions_all``, ``(C, n+1, 3)``.  The time
+    segments follow :func:`segment_plan`.
     """
     n = int(n_steps)
     segments, span = segment_plan(paths, n)
@@ -206,17 +156,16 @@ def frame_scan(step, paths: int, n_steps: int, *, weights: tuple[float, float],
     if want_final_frame:
         out["final_frame"] = quat_matrix(starts_q[:, :, segments])
     if keep_path:
-        # map (4 or 3, C, B, L) local states to global ones, then to
-        # (C, B*L, 4 or 3) where global state k sits at k - 1
+        # map (4 or 3, C, B, L) local states to global tangents and
+        # positions, then to (C, B*L, 3) where global state k sits at k - 1
         s_q = starts_q[:, :, :segments, None]
         q_loc, r_loc = path
-        q_all, r_all = (np.moveaxis(a, 0, -1).reshape(paths, segments * span, len(a))[:, :n]
-                        for a in (_qmul(s_q, q_loc),
+        t_all, r_all = (np.moveaxis(a, 0, -1).reshape(paths, segments * span, 3)[:, :n]
+                        for a in (np.array(_third_column(*_qmul(s_q, q_loc))),
                                   starts_r[:, :, :segments, None] + _rotate(s_q, r_loc)))
-        q_all = np.concatenate([np.tile([1.0, 0.0, 0.0, 0.0], (paths, 1, 1)), q_all], axis=1)
-        out["frames_all"] = quat_matrix(np.moveaxis(q_all, -1, 0))
-        out["tangents_all"] = out["frames_all"][:, :, :, 2].copy()
-        out["positions_all"] = np.concatenate([np.zeros((paths, 1, 3)), r_all], axis=1)
+        start = np.zeros((paths, 1, 3))
+        out["tangents_all"] = np.concatenate([start + (0.0, 0.0, 1.0), t_all], axis=1)
+        out["positions_all"] = np.concatenate([start, r_all], axis=1)
     return out
 
 

@@ -1,4 +1,5 @@
 """The public surface: what README's "Library" section promises, and no more."""
+import dataclasses
 import importlib
 import inspect
 import pathlib
@@ -7,14 +8,16 @@ import re
 import pytest
 
 import wormchain
+from wormchain import DiscreteChain, FrcConfig, PathSample
 
 _README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 _MODULES = ("analytics", "chain", "cli", "estimators", "kp", "so3")
 
-# the matrix value layer and the helpers that only tests called
+# the matrix value layer and the helpers that only tests called; the
+# Rodrigues reference now lives in tests/rodrigues.py
 _DELETED = {
     "so3": ("SkewSym3", "Rotation3", "UnitVec3", "hat", "exp_rodrigues", "compose", "apply",
-            "reorthonormalize"),
+            "reorthonormalize", "rodrigues_batch", "_SMALL_ANGLE"),
     "kp": ("BrownianDriver", "step_kp", "tangent_at"),
     "chain": ("interpolate_path",),
 }
@@ -57,3 +60,20 @@ def test_deleted_names_are_gone(module):
         assert not hasattr(wormchain, name), name
         assert not hasattr(mod, name), name
         assert name not in mod.__all__
+
+
+# fields and properties that nothing read: a path record carries the curve,
+# not its frames, and a chain's size and bond length live in its config
+_DELETED_ATTRIBUTES = {
+    FrcConfig: ("kappa", "ell_p"),
+    DiscreteChain: ("n_bonds", "bond_length"),
+    PathSample: ("frames", "n_steps", "contour_length"),
+}
+
+
+@pytest.mark.parametrize("cls", list(_DELETED_ATTRIBUTES), ids=lambda cls: cls.__name__)
+def test_deleted_attributes_are_gone(cls):
+    fields = {field.name for field in dataclasses.fields(cls)}
+    for name in _DELETED_ATTRIBUTES[cls]:
+        assert not hasattr(cls, name), name
+        assert name not in fields, name

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from rodrigues import rodrigues_batch
 
 from wormchain.chain import (
     DiscreteChain,
@@ -14,7 +15,6 @@ from wormchain.chain import (
     write_chain_csv,
 )
 from wormchain.estimators import path_rng
-from wormchain.so3 import rodrigues_batch
 
 
 def frc_msd_direct(cfg):
@@ -31,8 +31,6 @@ class TestFrcConfig:
         assert cfg.bond_length == pytest.approx(2.0 / 400)
         assert cfg.bond_angle == pytest.approx(1.5 / 20.0)
         assert cfg.contour_length == pytest.approx(2.0)
-        assert cfg.kappa == pytest.approx(1.5)
-        assert cfg.ell_p == pytest.approx(2.0 * 2.0 / 1.5**2)
 
     def test_raw_and_scaled_agree(self):
         scaled = FrcConfig.scaled(100, 1.0, math.sqrt(2))
@@ -53,7 +51,7 @@ class TestFrcConfig:
         with pytest.raises(ValueError):
             FrcConfig.raw(10, 1.0, 0.0)
         cfg = FrcConfig.raw(10, 1.0, 0.0, allow_zero_angle=True)
-        assert cfg.ell_p == math.inf
+        assert cfg.bond_angle == 0.0
 
     def test_scaled_requires_small_angle(self):
         with pytest.raises(ValueError):

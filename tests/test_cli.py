@@ -299,6 +299,34 @@ class TestBadInput:
         assert "n_paths must be at least 30, got 29" in err
         assert not (tmp_path / f"report-{suite}.csv").exists()
 
+    @pytest.mark.parametrize("kappa", [0, 1e-170, 1e-160])
+    def test_converge_kappa_needs_a_finite_ell_p(self, capsys, tmp_path, kappa):
+        # the suite once divided by kappa**2 before checking kappa: 0 and
+        # 1e-170, whose square underflows to 0, raised ZeroDivisionError;
+        # 1e-160 gives ell_p = 2L/kappa^2 = inf, which the error must name
+        err = self._usage_error(capsys, "verify", "--suite", "converge", "--kappa", kappa,
+                                "--n-list", "8,32", "--n-paths", 100, "--seed", 1,
+                                "--out-dir", tmp_path)
+        assert "kappa" in err
+        assert not (tmp_path / "report-converge.csv").exists()
+
+    @pytest.mark.parametrize("threshold", [0, "nan", -1, "inf"])
+    @pytest.mark.parametrize("suite, args", [
+        ("correlation", ("--n-steps", 100)),
+        ("msd", ("--n-steps", 100)),
+        ("converge", ("--n-list", "8,32")),
+        ("hard-rod", ("--ell-p", 10)),                        # would warn: ell_p < 100 L
+        ("random-coil", ("--ell-p", 0.5, "--n-steps", 50)),   # would warn: ell_p > L/100
+    ])
+    def test_z_threshold_must_be_finite_and_positive(self, capsys, tmp_path, suite, args,
+                                                      threshold):
+        # 0 once divided by zero in a bound row, nan and -1 failed every row
+        # and ran the suite twice, and inf passed every row
+        err = self._usage_error(capsys, "verify", "--suite", suite, *args, "--n-paths", 100,
+                                "--z-threshold", threshold, "--seed", 1, "--out-dir", tmp_path)
+        assert "threshold must be finite and positive" in err
+        assert not (tmp_path / f"report-{suite}.csv").exists()
+
     def test_negative_seed_in_config_file(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("seed = -5\n")
@@ -371,6 +399,35 @@ class TestRecordedReports:
             slack = (abs(estimate) + abs(oracle)) / stderr if stderr > 0 else 0.0
             assert float(row["z"]) == pytest.approx(float(old["z"]), rel=1e-9, abs=1e-9 * slack), \
                 old["observable"]
+
+
+_PATH_DATA = pathlib.Path(__file__).parent / "data" / "paths"
+
+# The recorded paths were written by an earlier version of the package with
+# these arguments and seed 31; each scan runs in more than one time segment
+# (14 for the continuum path, 12 for the chain).
+_RECORDED_PATHS = {
+    "kp-path": ("simulate-kp", "--contour-length", 1.0, "--ell-p", 0.5, "--n-steps", 200),
+    "frc-chain": ("simulate-frc", "--n-bonds", 150, "--contour-length", 3.0, "--kappa", 2.0),
+}
+
+
+class TestRecordedPaths:
+    @pytest.mark.parametrize("name", sorted(_RECORDED_PATHS))
+    def test_values_match_recorded_path(self, tmp_path, name):
+        # header, row count and empty cells exactly; numbers to a relative
+        # 1e-9 of themselves plus their column's largest magnitude, as the
+        # recorded reports allow for vectorized transcendentals across CPUs
+        out = tmp_path / "path.csv"
+        assert run_cli(*_RECORDED_PATHS[name], "--seed", 31, "--out", out) == 0
+        new, old = (list(csv.reader(f.read_text().splitlines()))
+                    for f in (out, _PATH_DATA / f"{name}.csv"))
+        assert new[0] == old[0] and len(new) == len(old)
+        assert [[c == "" for c in row] for row in new] == [[c == "" for c in row] for row in old]
+        values, recorded = (np.array([[float(c or 0.0) for c in row] for row in rows[1:]])
+                            for rows in (new, old))
+        scale = np.max(np.abs(recorded), axis=0)
+        assert np.all(np.abs(values - recorded) <= 1e-9 * (np.abs(recorded) + scale))
 
 
 class TestPlotdata:
@@ -474,14 +531,16 @@ class TestPlotdata:
         ("s,Qx,Qy\n0.0,1.0\n0.1,oops,2.0\n", 2, "expected 3 cells, got 2"),
         ("s,Qx,Qy\n0.0,1.0,2.0\n0.1,oops,2.0\n", 3, "'oops'"),
         ("s,Qx,Qy\n0.0,1.0,2.0,3.0\n", 2, "expected 3 cells, got 4"),
-        ('n,x\n0,"1.0\n"\n', 3, "line break"),
-        ('n,x\n0,"\r1.0"\n', 3, "line break"),
+        ('n,x\n0,"1.0\n"\n', 2, "line break"),
+        ('n,x\n0,"\r1.0"\n', 2, "line break"),
+        ('n,x\n\n0,1.0\n1,"2.0\n\n3.0"\n', 4, "line break"),
         ("observable,s,t,estimate,stderr,oracle,z,pass\nqq,0.0,0.5\n", 2, "expected 8 cells"),
     ], ids=["short-row", "not-a-number", "long-row", "newline", "carriage-return",
-            "short-report-row"])
+            "after-blank-line", "short-report-row"])
     def test_malformed_rows_are_usage_errors(self, tmp_path, capsys, text, line, message):
         # a short row, a cell that is no number and a number holding a line
-        # break were once written through, and a short report row crashed
+        # break were once written through, and a short report row crashed;
+        # the error names the line its record starts on
         bad = tmp_path / "bad.csv"
         bad.write_text(text, newline="")
         out = tmp_path / "out.csv"

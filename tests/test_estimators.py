@@ -262,6 +262,25 @@ class TestComparisonReports:
         assert shared.estimate == alone.estimate
         assert shared.stderr == alone.stderr
 
+    @pytest.mark.parametrize("threshold", [0.0, math.nan, -1.0, math.inf])
+    def test_threshold_must_be_finite_and_positive(self, threshold):
+        # nan once failed every row and inf passed every row; 0 divided by
+        # zero in a bound row.  The suites check it before any sampling and
+        # before any regime warning (which would raise here as an error)
+        cfg = KpConfig(1.0, 1.0, 40)
+        summary = run_ensemble(cfg, 8, (msd_observable(cfg, 0.5),), seed=4)
+        calls = (lambda: estimate_msd(summary, 0.5, threshold=threshold),
+                 lambda: estimate_tangent_correlation(summary, 0.0, 0.5, threshold=threshold),
+                 lambda: kp_msd_suite(cfg, 30, seed=1, threshold=threshold),
+                 lambda: convergence_table(1.0, 1.0, [4, 8], 30, seed=1, threshold=threshold),
+                 lambda: hard_rod_diagnostics(10.0, 1.0, 30, 1, seed=0, n_steps=50,
+                                              threshold=threshold),
+                 lambda: random_coil_diagnostics(0.5, 1.0, 30, 1, seed=0, n_steps=50,
+                                                 threshold=threshold))
+        for call in calls:
+            with pytest.raises(ValueError, match="threshold must be finite and positive"):
+                call()
+
     def test_pass_flag_reproducible_from_fields(self):
         cfg = KpConfig(1.0, 1.0, 200)
         reports = kp_correlation_suite(cfg, 200, seed=8)

@@ -57,9 +57,11 @@ class TestBrownianDriver:
         assert abs(sample_var / cfg.h - 1.0) <= 5.0 * math.sqrt(2.0 / (2 * n - 1))
 
     def test_zeros_driver(self):
-        # a zero driver leaves every frame of the path exactly the identity
-        rec = _kp_scan(1.0, 0.1, np.zeros((1, 10, 2)), keep_path=True)
-        assert np.array_equal(rec["frames_all"][0], np.tile(np.eye(3), (11, 1, 1)))
+        # a zero driver leaves the frame exactly the identity, so every
+        # tangent of the path is exactly e3
+        rec = _kp_scan(1.0, 0.1, np.zeros((1, 10, 2)), keep_path=True, want_final_frame=True)
+        assert np.array_equal(rec["final_frame"][0], np.eye(3))
+        assert np.array_equal(rec["tangents_all"][0], np.tile(E3, (11, 1)))
 
 
 def _one_step_frame(ell_p, db1, db2):
@@ -113,7 +115,6 @@ class TestSimulateKp:
         path = simulate_kp(cfg, path_rng(5, 0))
         assert np.array_equal(path.tangents[0], E3)
         assert np.array_equal(path.positions[0], np.zeros(3))
-        assert np.array_equal(path.frames[0], np.eye(3))
 
     def test_unit_speed_bounds(self):
         cfg = KpConfig(1.0, 0.2, 500)
@@ -129,13 +130,18 @@ class TestSimulateKp:
         assert np.max(np.abs(norms - 1.0)) <= 1e-10
 
     def test_frames_orthonormal_and_right_handed(self):
+        # the frame after k = 100, 200, ... steps of one driver: a rotation
+        # whose third column is the path's tangent at k
         cfg = KpConfig(1.0, 1.0, 1500)
+        dbeta = _draw_increments(cfg, path_rng(6, 3))[None]
         path = simulate_kp(cfg, path_rng(6, 3))
-        for k in range(0, cfg.n_steps + 1, 100):
-            frame = path.frames[k]
+        for k in range(100, cfg.n_steps + 1, 100):
+            frame = _kp_scan(cfg.ell_p, cfg.h, dbeta[:, :k], want_final_frame=True)[
+                "final_frame"][0]
             assert orthonormal_defect(frame) <= 1e-8
             assert np.linalg.det(frame) == pytest.approx(1.0, abs=1e-8)
             assert np.allclose(np.cross(frame[:, 0], frame[:, 1]), frame[:, 2], atol=1e-8)
+            assert np.allclose(frame[:, 2], path.tangents[k], rtol=0, atol=1e-12)
 
     def test_needs_rng_or_driver(self):
         # no default stream: every path names the generator it draws from
@@ -147,7 +153,7 @@ class TestSimulateKp:
         a = simulate_kp(cfg, path_rng(9, 4))
         b = simulate_kp(cfg, path_rng(9, 4))
         assert np.array_equal(a.positions, b.positions)
-        assert np.array_equal(a.frames, b.frames)
+        assert np.array_equal(a.tangents, b.tangents)
 
 
 def _mean_tangent_z(ell_p, length, n_steps, n_paths, seed, at_index):
@@ -236,8 +242,7 @@ class TestSerialization:
         positions = rng.normal(size=(n + 1, 3)) * 1e3
         tangents[1] = (-0.0, 5e-324, 1e300)
         positions[4096, :] = (np.inf, -np.inf, np.nan)
-        path = PathSample(grid=np.arange(n + 1) * 0.1, frames=np.zeros((n + 1, 3, 3)),
-                          tangents=tangents, positions=positions)
+        path = PathSample(grid=np.arange(n + 1) * 0.1, tangents=tangents, positions=positions)
         buf = io.StringIO()
         write_path_csv(path, buf)
 
