@@ -179,7 +179,8 @@ def _frc_scan(cfg: FrcConfig, phis: np.ndarray, *, keep_beads: bool = False,
             raise ValueError(f"bead mark {m} outside 0..{n}")
 
     rec = frame_scan(_frc_steps(cfg.bond_angle, phis), paths, n - 1, weights=(0.0, a),
-                     marks=[m - 1 for m in (*tangent_marks, *position_marks) if m >= 1],
+                     tangent_marks=[m - 1 for m in tangent_marks],
+                     position_marks=[m - 1 for m in position_marks if m >= 1],
                      keep_path=keep_beads)
     first_bond = a * _E3
     tangents = {m: rec["tangents"][m - 1] for m in tangent_marks}
@@ -192,9 +193,19 @@ def _frc_scan(cfg: FrcConfig, phis: np.ndarray, *, keep_beads: bool = False,
     return {"tangents": tangents, "positions": positions, "beads_all": beads_all}
 
 
-def _draw_torsions(cfg: FrcConfig, rng: np.random.Generator) -> np.ndarray:
-    """One chain's ``N - 1`` torsions, i.i.d. uniform on ``[0, 2*pi)``."""
-    return rng.uniform(0.0, 2.0 * math.pi, size=cfg.n_bonds - 1)
+def _draw_torsions(cfg: FrcConfig, rng: np.random.Generator,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """One chain's ``N - 1`` torsions, i.i.d. uniform on ``[0, 2*pi)``,
+    written into ``out`` (a new array if None).
+
+    Unit uniforms scaled in place are the bits of ``rng.uniform(0.0,
+    2*pi)``, which computes ``0 + 2*pi * u``, without its temporary.
+    """
+    if out is None:
+        out = np.empty(cfg.n_bonds - 1)
+    rng.random(out=out)
+    out *= 2.0 * math.pi
+    return out
 
 
 def sample_frc(cfg: FrcConfig, rng: np.random.Generator) -> DiscreteChain:

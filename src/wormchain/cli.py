@@ -6,9 +6,10 @@ closed forms, with CSV + JSON reports), and ``plotdata`` (tidy long-format
 series for external plotting).
 
 Exit codes: 0 success, 1 I/O failure, 2 usage error, 3 verification failure.
-A failed verify suite is rerun once with ``seed + 1`` before being declared
-red, so a single 4-sigma statistical flake does not fail CI; the JSON report
-keeps every attempt (seed, pass, wall time, rows) under ``attempts``.
+A failed verify suite is rerun once with ``seed + 1`` (mod 2**64) before
+being declared red, so a single 4-sigma statistical flake does not fail CI;
+the JSON report keeps every attempt (seed, pass, wall time, rows) under
+``attempts``.
 """
 from __future__ import annotations
 
@@ -245,7 +246,8 @@ def _cmd_verify(args) -> int:
         if not all(r.passed for r in reports):
             # one-rerun flake policy: a fresh seed decides; two failures = red
             reran = True
-            seed = params["seed"] + 1
+            # the next seed; the top of the key range wraps to 0
+            seed = (params["seed"] + 1) % (1 << 64)
             reports = _attempt(suite, params, seed, attempts)
         wall = sum(a["wall_time_s"] for a in attempts)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import warnings
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
@@ -80,17 +81,33 @@ def _incr_prod(rec, i, k1, k2, scale):
     return scale * (x2 - x1) * x1
 
 
-# kind -> (params that are tangent marks, params that are position marks,
-# value on a scan record); the Observable docstring tabulates it
+# kind -> (params, value on a scan record).  Each letter of the params
+# string is one parameter: ``T`` a tangent mark, ``P`` a position mark (both
+# non-negative ints), ``i`` a component 0..2, ``f`` a real number.  The
+# Observable docstring tabulates it.
 _KINDS = {
-    "tangent_dot": ((0, 1), (), _tangent_dot),
-    "path_msd": ((), (0,), lambda rec, k: np.sum(rec["positions"][k] ** 2, axis=1)),
-    "coord": ((), (1,), lambda rec, i, k: rec["positions"][k][:, i]),
-    "coord_sq": ((), (1,), _coord_sq),
-    "coord_prod": ((), (1, 3), lambda rec, i, k1, j, k2, scale:
+    "tangent_dot": ("TT", _tangent_dot),
+    "path_msd": ("P", lambda rec, k: np.sum(rec["positions"][k] ** 2, axis=1)),
+    "coord": ("iP", lambda rec, i, k: rec["positions"][k][:, i]),
+    "coord_sq": ("iPff", _coord_sq),
+    "coord_prod": ("iPiPf", lambda rec, i, k1, j, k2, scale:
                    scale * rec["positions"][k1][:, i] * rec["positions"][k2][:, j]),
-    "incr_prod": ((), (1, 2), _incr_prod),
-    "sup_rod_dev": ((), (), lambda rec: rec["sup_rod_dev"]),
+    "incr_prod": ("iPPf", _incr_prod),
+    "sup_rod_dev": ("", lambda rec: rec["sup_rod_dev"]),
+}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+# params letter -> (test, what the value must be)
+_MARK_RULE = (lambda v: _is_int(v) and v >= 0, "a non-negative integer mark")
+_PARAM_RULES = {
+    "T": _MARK_RULE,
+    "P": _MARK_RULE,
+    "i": (lambda v: _is_int(v) and 0 <= v <= 2, "a component index 0, 1 or 2"),
+    "f": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), "a real number"),
 }
 
 
@@ -101,8 +118,10 @@ class Observable:
     ``T_k`` and ``R_k`` are the tangent and position that the scan records
     at mark ``k``: grid index ``0..n`` on the wormlike chain; bond number
     ``1..N`` (tangent) and bead number ``0..N`` (position) on the chain.
-    ``kind`` selects the rule and ``params`` are its arguments (marks and
-    components are ints, centers ``c`` and scales ``w`` floats):
+    ``kind`` selects the rule and ``params`` are its arguments (marks are
+    non-negative ints, components ``i``, ``j`` ints in 0..2, centers ``c``
+    and scales ``w`` real numbers); a wrong count or type is a
+    ``ValueError``:
 
     kind (params)                 tangents  positions  value
     ``tangent_dot (k1, k2)``      k1, k2               ``T_k1 . T_k2``
@@ -124,24 +143,61 @@ class Observable:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown observable kind {self.kind!r}; known: {sorted(_KINDS)}")
+        letters = _KINDS[self.kind][0]
+        if len(self.params) != len(letters):
+            raise ValueError(f"observable {self.name!r} of kind {self.kind!r} takes "
+                             f"{len(letters)} params, got {len(self.params)}: {self.params!r}")
+        for position, (letter, value) in enumerate(zip(letters, self.params)):
+            test, want = _PARAM_RULES[letter]
+            if not test(value):
+                raise ValueError(f"observable {self.name!r}: param {position} of kind "
+                                 f"{self.kind!r} must be {want}, got {value!r}")
+
+    def _marks(self, letter: str) -> tuple[int, ...]:
+        return tuple(int(v) for c, v in zip(_KINDS[self.kind][0], self.params) if c == letter)
 
     @property
     def tangent_marks(self) -> tuple[int, ...]:
-        return tuple(int(self.params[p]) for p in _KINDS[self.kind][0])
+        return self._marks("T")
 
     @property
     def position_marks(self) -> tuple[int, ...]:
-        return tuple(int(self.params[p]) for p in _KINDS[self.kind][1])
+        return self._marks("P")
 
     def evaluate(self, rec: dict) -> np.ndarray:
         """This observable's value on each path of a scan record."""
-        return _KINDS[self.kind][2](rec, *self.params)
+        return _KINDS[self.kind][1](rec, *self.params)
+
+
+def _stream_key(seed: int, path_index: int) -> np.ndarray:
+    """Philox key of path ``path_index``'s stream: ``(seed, path_index)`` as
+    two unsigned 64-bit words.  Values outside that range are rejected, not
+    wrapped onto another seed's streams."""
+    if not (_is_int(seed) and 0 <= seed < 1 << 64):
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    if not (_is_int(path_index) and 0 <= path_index < 1 << 64):
+        raise ValueError(f"path_index must be an integer in [0, 2**64), got {path_index!r}")
+    return np.array([seed, path_index], dtype=np.uint64)
 
 
 def path_rng(seed: int, path_index: int) -> np.random.Generator:
     """Counter-based stream for one path: Philox keyed by (seed, path_index)."""
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, path_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_stream_key(seed, path_index)))
+
+
+def _path_streams(seed: int, start: int, stop: int):
+    """The streams of paths ``start..stop-1`` in turn, each drawing the bits
+    of ``path_rng(seed, i)``: one Philox is re-keyed to ``(seed, i)`` at
+    counter 0 with an empty buffer.  Building a Philox per path would read
+    OS entropy for a seed that a given key discards."""
+    bits = np.random.Philox(key=_stream_key(seed, start))
+    rng = np.random.Generator(bits)
+    zeros = np.zeros(4, dtype=np.uint64)
+    for index in range(start, stop):
+        bits.state = {"bit_generator": "Philox",
+                      "state": {"counter": zeros, "key": _stream_key(seed, index)},
+                      "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,7 +265,7 @@ class EnsembleSummary:
 def _chunk_values(model, observables: tuple[Observable, ...], seed: int,
                   start: int, stop: int) -> np.ndarray:
     """Per-path values ``(observables, paths)`` of paths ``start..stop-1``,
-    each drawn from its own stream by its model's draw."""
+    each drawn from its own stream by its model's draw into its row."""
     paths = stop - start
     marks = {
         "tangent_marks": tuple(sorted({k for obs in observables for k in obs.tangent_marks})),
@@ -217,13 +273,13 @@ def _chunk_values(model, observables: tuple[Observable, ...], seed: int,
     }
     if isinstance(model, FrcConfig):
         phis = np.empty((paths, model.n_bonds - 1))
-        for row, index in enumerate(range(start, stop)):
-            phis[row] = _draw_torsions(model, path_rng(seed, index))
+        for row, rng in zip(phis, _path_streams(seed, start, stop)):
+            _draw_torsions(model, rng, out=row)
         rec = _frc_scan(model, phis, **marks)
     else:
         dbeta = np.empty((paths, model.n_steps, 2))
-        for row, index in enumerate(range(start, stop)):
-            dbeta[row] = _draw_increments(model, path_rng(seed, index))
+        for row, rng in zip(dbeta, _path_streams(seed, start, stop)):
+            _draw_increments(model, rng, out=row)
         rec = _kp_scan(model.ell_p, model.h, dbeta, **marks,
                        track_sup_rod_dev=any(obs.kind == "sup_rod_dev" for obs in observables))
     return np.stack([obs.evaluate(rec) for obs in observables])
@@ -274,6 +330,7 @@ def run_ensemble(model, n_paths: int, observables, seed: int, *,
     if not isinstance(model, (FrcConfig, KpConfig)):
         raise ValueError(f"model must be FrcConfig or KpConfig, got {type(model).__name__}")
     _check_n_paths(n_paths)
+    _stream_key(seed, n_paths - 1)  # a bad seed fails before any work
     observables = tuple(observables)
     if not observables:
         raise ValueError("observables must be nonempty")

@@ -159,15 +159,24 @@ def _kp_scan(ell_p: float, h: float, dbeta: np.ndarray, *,
     if two != 2:
         raise ValueError(f"dbeta must have shape (C, n_steps, 2), got {dbeta.shape}")
     return frame_scan(_kp_steps(ell_p, dbeta), paths, n, weights=(0.5 * h, 0.5 * h),
-                      marks=(*tangent_marks, *position_marks),
+                      tangent_marks=tangent_marks, position_marks=position_marks,
                       rod_step=h if track_sup_rod_dev else None,
                       want_final_frame=want_final_frame, keep_path=keep_path)
 
 
-def _draw_increments(cfg: KpConfig, rng: np.random.Generator) -> np.ndarray:
+def _draw_increments(cfg: KpConfig, rng: np.random.Generator,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """One path's driver: ``(n_steps, 2)`` increments ``(db1_k, db2_k)``,
-    each i.i.d. Normal(0, h)."""
-    return rng.normal(0.0, math.sqrt(cfg.h), size=(cfg.n_steps, 2))
+    each i.i.d. Normal(0, h), written into ``out`` (a new array if None).
+
+    Standard normals scaled in place are the bits of ``rng.normal(0.0,
+    sqrt(h))``, which computes ``0 + sqrt(h) * z``, without its temporary.
+    """
+    if out is None:
+        out = np.empty((cfg.n_steps, 2))
+    rng.standard_normal(out=out)
+    out *= math.sqrt(cfg.h)
+    return out
 
 
 def simulate_kp(cfg: KpConfig, rng: np.random.Generator) -> PathSample:

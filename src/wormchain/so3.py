@@ -22,6 +22,11 @@ local``.  The sup deviation from the rod needs global positions at every
 step; with more than one segment it comes from a second scan started at the
 stitched ``(S_b, P_b)``.  The plan depends on (C, n) alone, so results do
 not depend on how paths are spread over workers.
+
+A scan integrates the curve only when something reads a position (a
+position mark, the rod deviation or the full path); otherwise it advances
+the frames alone and takes the tangent only on the steps that carry a mark.
+Either way the tangents are the same bits.
 """
 from __future__ import annotations
 
@@ -94,7 +99,7 @@ def segment_plan(paths: int, n_steps: int) -> tuple[int, int]:
 
 
 def frame_scan(step, paths: int, n_steps: int, *, weights: tuple[float, float],
-               marks=(), rod_step: float | None = None,
+               tangent_marks=(), position_marks=(), rod_step: float | None = None,
                want_final_frame: bool = False, keep_path: bool = False) -> dict:
     """Advance C moving frames by n right-multiplied steps, and their curves.
 
@@ -106,19 +111,23 @@ def frame_scan(step, paths: int, n_steps: int, *, weights: tuple[float, float],
     ``weights = (c_old, c_new)``.
 
     Returns ``tangents`` and ``positions``, dicts from each state index in
-    ``marks`` (``0..n``) to ``(C, 3)`` arrays; with ``rod_step`` set,
+    ``tangent_marks`` and ``position_marks`` (``0..n``) respectively to
+    ``(C, 3)`` arrays; with ``rod_step`` set,
     ``sup_rod_dev = sup_k |r_k - k*rod_step*e3|``; optionally the
     ``(C, 3, 3)`` ``final_frame`` and, with ``keep_path``, every state's
     ``tangents_all`` and ``positions_all``, ``(C, n+1, 3)``.  The time
-    segments follow :func:`segment_plan`.
+    segments follow :func:`segment_plan`; the curve is integrated only if
+    ``position_marks``, ``rod_step`` or ``keep_path`` asks for it.
     """
     n = int(n_steps)
     segments, span = segment_plan(paths, n)
-    scan = functools.partial(_scan_segments, step, n, span, n - (segments - 1) * span, weights)
+    tangent_marks, position_marks = ({int(k) for k in m} for m in (tangent_marks, position_marks))
+    curve = bool(position_marks) or rod_step is not None or keep_path
+    scan = functools.partial(_scan_segments, step, n, span, n - (segments - 1) * span, weights,
+                             curve)
 
-    marks = sorted(set(int(k) for k in marks))
     mark_at: dict[int, list[tuple[int, int]]] = {}  # step in segment -> (segment, mark)
-    for k in marks:
+    for k in sorted(tangent_marks | position_marks):
         if not 0 <= k <= n:
             raise ValueError(f"grid mark {k} outside 0..{n}")
         if k:
@@ -138,7 +147,8 @@ def frame_scan(step, paths: int, n_steps: int, *, weights: tuple[float, float],
     starts_r = np.zeros((3, paths, segments + 1))
     for b in range(segments):
         starts_q[:, :, b + 1] = _qnormalize(_qmul(starts_q[:, :, b], end_q[:, :, b]))
-        starts_r[:, :, b + 1] = starts_r[:, :, b] + _rotate(starts_q[:, :, b], end_r[:, :, b])
+        if curve:
+            starts_r[:, :, b + 1] = starts_r[:, :, b] + _rotate(starts_q[:, :, b], end_r[:, :, b])
     if rod_step is not None and not single:
         # rescan each segment from its stitched start
         sup_sq = scan(starts_q[:, :, :segments], starts_r[:, :, :segments], {}, False,
@@ -146,11 +156,12 @@ def frame_scan(step, paths: int, n_steps: int, *, weights: tuple[float, float],
 
     out: dict = {"tangents": {}, "positions": {}}
     local[0] = (np.tile([[0.0], [0.0], [1.0]], paths), np.zeros((3, paths)))
-    for k in marks:
+    for k in sorted(tangent_marks):
         b = (k - 1) // span if k else 0
-        t_loc, r_loc = local[k]
-        out["tangents"][k] = _rotate(starts_q[:, :, b], t_loc).T
-        out["positions"][k] = (starts_r[:, :, b] + _rotate(starts_q[:, :, b], r_loc)).T
+        out["tangents"][k] = _rotate(starts_q[:, :, b], local[k][0]).T
+    for k in sorted(position_marks):
+        b = (k - 1) // span if k else 0
+        out["positions"][k] = (starts_r[:, :, b] + _rotate(starts_q[:, :, b], local[k][1])).T
     if rod_step is not None:
         out["sup_rod_dev"] = np.sqrt(np.max(sup_sq, axis=1))
     if want_final_frame:
@@ -175,20 +186,23 @@ def _identity(shape):
     return q
 
 
-def _scan_segments(step, n, span, tail, weights, q0, r0, mark_at, keep_path, rod_step):
+def _scan_segments(step, n, span, tail, weights, curve, q0, r0, mark_at, keep_path, rod_step):
     """The per-step loop of :func:`frame_scan`: scan C x B segments side by
     side from their start frames ``q0`` and positions ``r0``, each over
     ``span`` steps (``tail`` real ones in the last segment).
 
     Returns the end frames and positions, the tangent and position at each
     marked state index, every state (with ``keep_path``) and the squared
-    rod deviation's running maximum (with ``rod_step``).
+    rod deviation's running maximum (with ``rod_step``).  Without ``curve``
+    the positions are not integrated (the end positions and marked
+    positions are None) and the tangent is taken only at marked steps.
     """
     w, x, y, z = (np.array(c) for c in q0)
-    rx, ry, rz = (np.array(c) for c in r0)
     paths, segments = w.shape
     pw, px, py = np.empty((3, paths, segments))
-    tx, ty, tz = _third_column(w, x, y, z)
+    if curve:
+        rx, ry, rz = (np.array(c) for c in r0)
+        tx, ty, tz = _third_column(w, x, y, z)
     base = np.arange(segments) * span
     c_old, c_new = (float(c) for c in weights)
     path = sup_sq = None
@@ -208,21 +222,25 @@ def _scan_segments(step, n, span, tail, weights, q0, r0, mark_at, keep_path, rod
             py[:, -1] = 0.0
         w, x, y, z = (w * pw - x * px - y * py, w * px + x * pw - z * py,
                       w * py + y * pw + z * px, z * pw + x * py - y * px)
-        ux, uy, uz = _third_column(w, x, y, z)
-        dx, dy, dz = c_new * ux, c_new * uy, c_new * uz
-        if c_old:
-            dx += c_old * tx
-            dy += c_old * ty
-            dz += c_old * tz
-        if ragged:
-            dx[:, -1] = dy[:, -1] = dz[:, -1] = 0.0
-        rx += dx
-        ry += dy
-        rz += dz
-        tx, ty, tz = ux, uy, uz
-        for b, k in mark_at.get(j, ()):
+        marked = mark_at.get(j, ())
+        if curve:
+            ux, uy, uz = _third_column(w, x, y, z)
+            dx, dy, dz = c_new * ux, c_new * uy, c_new * uz
+            if c_old:
+                dx += c_old * tx
+                dy += c_old * ty
+                dz += c_old * tz
+            if ragged:
+                dx[:, -1] = dy[:, -1] = dz[:, -1] = 0.0
+            rx += dx
+            ry += dy
+            rz += dz
+            tx, ty, tz = ux, uy, uz
+        elif marked:
+            tx, ty, tz = _third_column(w, x, y, z)
+        for b, k in marked:
             local[k] = (np.array([tx[:, b], ty[:, b], tz[:, b]]),
-                        np.array([rx[:, b], ry[:, b], rz[:, b]]))
+                        np.array([rx[:, b], ry[:, b], rz[:, b]]) if curve else None)
         if keep_path:
             path[0][:, :, :, j] = (w, x, y, z)
             path[1][:, :, :, j] = (rx, ry, rz)
@@ -232,7 +250,8 @@ def _scan_segments(step, n, span, tail, weights, q0, r0, mark_at, keep_path, rod
             dev += rx * rx
             dev += ry * ry
             np.maximum(sup_sq, dev, out=sup_sq)
-    return np.array([w, x, y, z]), np.array([rx, ry, rz]), local, path, sup_sq
+    end_r = np.array([rx, ry, rz]) if curve else None
+    return np.array([w, x, y, z]), end_r, local, path, sup_sq
 
 
 def _third_column(w, x, y, z):

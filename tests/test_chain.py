@@ -9,6 +9,7 @@ from rodrigues import rodrigues_batch
 from wormchain.chain import (
     DiscreteChain,
     FrcConfig,
+    _draw_torsions,
     frc_bond_correlation_oracle,
     frc_msd_oracle,
     sample_frc,
@@ -120,6 +121,18 @@ class TestSampleFrc:
         b = sample_frc(cfg, path_rng(42, 0))
         assert np.array_equal(a.beads, b.beads)
         assert np.array_equal(a.phis, b.phis)
+
+
+    def test_torsions_are_the_bits_of_a_scaled_uniform(self):
+        # unit uniforms scaled in place are rng.uniform(0, 2 pi) bit for bit
+        cfg = FrcConfig.scaled(130, 1.0, 1.0)
+        expected = path_rng(4, 9).uniform(0.0, 2.0 * math.pi, size=129)
+        assert np.array_equal(_draw_torsions(cfg, path_rng(4, 9)), expected)
+        rows = np.zeros((2, 129))
+        row = rows[0]
+        assert _draw_torsions(cfg, path_rng(4, 9), out=row) is row
+        assert np.array_equal(rows[0], expected) and not rows[1].any()
+        assert np.array_equal(sample_frc(cfg, path_rng(4, 9)).phis, expected)
 
 
 class TestBondCorrelationOracle:

@@ -356,6 +356,16 @@ class TestAttempts:
         assert [float(r["estimate"]) for r in rows] == \
             [r["estimate"] for r in attempts[1]["reports"]]
 
+    def test_rerun_of_the_top_seed_wraps_to_zero(self, tmp_path):
+        # the library rejects a stream key of 2**64, so the rerun seed wraps
+        top = 2**64 - 1
+        code = run_cli("verify", "--suite", "correlation", "--n-steps", 20,
+                       "--n-paths", 30, "--seed", top, "--z-threshold", 1e-9,
+                       "--out-dir", tmp_path)
+        assert code == 3
+        summary = json.loads((tmp_path / "report-correlation.json").read_text())
+        assert [a["seed"] for a in summary["attempts"]] == [top, 0]
+
     def test_first_pass_is_the_only_attempt(self, tmp_path):
         assert run_cli("verify", "--suite", "correlation", "--n-steps", 100,
                        "--n-paths", 300, "--seed", 42, "--out-dir", tmp_path) == 0

@@ -25,7 +25,7 @@ from wormchain.estimators import (
     tangent_dot_observable,
     write_reports_csv,
 )
-from wormchain.kp import KpConfig, simulate_kp
+from wormchain.kp import KpConfig, _draw_increments, simulate_kp
 
 
 def summary_of(values, model=None, seed=0):
@@ -49,6 +49,21 @@ class TestPathRng:
         c = path_rng(43, 0).normal(size=5)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("seed, index, name", [
+        (-1, 0, "seed"), (2**64, 0, "seed"), (1.5, 0, "seed"), (1, -1, "path_index"),
+        (1, 2**64, "path_index")])
+    def test_key_out_of_range(self, seed, index, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer in \\[0, 2\\*\\*64\\)"):
+            path_rng(seed, index)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_run_rejects_a_seed_outside_the_key(self, seed):
+        # -1 once ran the streams of 2**64 - 1, and 2**64 those of 0
+        cfg = KpConfig(1.0, 1.0, 8)
+        obs = (msd_observable(cfg, 1.0),)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            run_ensemble(cfg, 30, obs, seed=seed)
 
 
 class TestEnsembleSummary:
@@ -148,6 +163,25 @@ class TestRunEnsemble:
         for i in range(3):
             assert np.array_equal(ends[i], sample_frc(cfg, path_rng(21, i)).beads[-1])
 
+    def test_kp_chunk_rows_are_the_per_path_draws(self, monkeypatch):
+        # row i of a KP chunk is bit for bit path i's own driver; 7 steps
+        # take 14 normals, which leaves the Philox buffer part-used, so a
+        # stream that kept the previous path's buffer would show
+        cfg = KpConfig(1.0, 1.0, 7)
+        seen = []
+        scan = est._kp_scan
+
+        def spy(ell_p, h, dbeta, **kwargs):
+            seen.append(dbeta.copy())
+            return scan(ell_p, h, dbeta, **kwargs)
+
+        monkeypatch.setattr(est, "_kp_scan", spy)
+        est._chunk_values(cfg, (tangent_dot_observable(cfg, 0.0, 1.0),), 21, 3, 8)
+        (dbeta,) = seen
+        assert dbeta.shape == (5, 7, 2)
+        for row, index in enumerate(range(3, 8)):
+            assert np.array_equal(dbeta[row], _draw_increments(cfg, path_rng(21, index)))
+
     def test_validation(self):
         cfg = KpConfig(1.0, 1.0, 8)
         obs = (Observable("a", "tangent_dot", (0, 8)),)
@@ -178,6 +212,25 @@ class TestObservables:
         assert Observable("c", "incr_prod", (2, 4, 9, 1.0)).position_marks == (4, 9)
         assert Observable("d", "coord", (1, 6)).position_marks == (6,)
         assert Observable("e", "sup_rod_dev").tangent_marks == ()
+
+    @pytest.mark.parametrize("kind, params, message", [
+        ("coord", (0,), "takes 2 params, got 1"),
+        ("tangent_dot", (0, 1, 2), "takes 2 params, got 3"),
+        ("sup_rod_dev", (1,), "takes 0 params, got 1"),
+        ("coord", (0, 2.5), "param 1 .* must be a non-negative integer mark, got 2.5"),
+        ("tangent_dot", (-1, 4), "param 0 .* must be a non-negative integer mark, got -1"),
+        ("path_msd", (True,), "must be a non-negative integer mark, got True"),
+        ("coord", (5, 3), "param 0 .* must be a component index 0, 1 or 2, got 5"),
+        ("coord_prod", (0, 2, -1, 5, 1.0), "param 2 .* must be a component index"),
+        ("coord_sq", (0, 3, "0", 1.0), "param 2 .* must be a real number, got '0'"),
+    ])
+    def test_params_are_checked_against_the_kind(self, kind, params, message):
+        with pytest.raises(ValueError, match=message):
+            Observable("o", kind, params)
+
+    def test_numpy_scalars_are_valid_params(self):
+        obs = Observable("o", "coord_sq", (np.int64(2), np.int64(4), np.float64(0.5), 3))
+        assert obs.position_marks == (4,)
 
     def test_chain_record_is_keyed_by_bond_and_bead(self):
         # bond 1 is exactly e3, so T_1 . T_{1+k} is the z-component of bond

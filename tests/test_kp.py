@@ -56,6 +56,18 @@ class TestBrownianDriver:
         # chi-square bound: relative deviation within 5 sigma of the variance estimator
         assert abs(sample_var / cfg.h - 1.0) <= 5.0 * math.sqrt(2.0 / (2 * n - 1))
 
+    def test_draw_is_the_bits_of_a_scaled_normal(self):
+        # standard normals scaled in place are rng.normal(0, sqrt(h)) bit
+        # for bit, and a given row is filled and returned
+        cfg = KpConfig(1.0, 0.5, 333)
+        expected = path_rng(4, 9).normal(0.0, math.sqrt(cfg.h), size=(333, 2))
+        assert np.array_equal(_draw_increments(cfg, path_rng(4, 9)), expected)
+        rows = np.zeros((3, 333, 2))
+        row = rows[1]
+        assert _draw_increments(cfg, path_rng(4, 9), out=row) is row
+        assert np.array_equal(rows[1], expected)
+        assert not rows[0].any() and not rows[2].any()
+
     def test_zeros_driver(self):
         # a zero driver leaves the frame exactly the identity, so every
         # tangent of the path is exactly e3

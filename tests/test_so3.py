@@ -258,8 +258,9 @@ class TestFrameScan:
         marks = {0, n, n - 1}
         for b in range(1, segments):
             marks.update((b * span, b * span + 1))
-        rec = frame_scan(_rotvec_steps(omega), paths, n, weights=weights, marks=marks,
-                         rod_step=rod_step, want_final_frame=True, keep_path=True)
+        rec = frame_scan(_rotvec_steps(omega), paths, n, weights=weights, tangent_marks=marks,
+                         position_marks=marks, rod_step=rod_step, want_final_frame=True,
+                         keep_path=True)
         tol = dict(rtol=0, atol=1e-12)
         assert set(rec) == {"tangents", "positions", "sup_rod_dev", "final_frame",
                             "tangents_all", "positions_all"}
@@ -267,14 +268,36 @@ class TestFrameScan:
         assert np.allclose(rec["positions_all"], positions, **tol)
         assert np.allclose(rec["final_frame"], frames[:, -1], **tol)
         assert np.allclose(rec["sup_rod_dev"], sup, **tol)
-        assert set(rec["tangents"]) == marks
+        assert set(rec["tangents"]) == set(rec["positions"]) == marks
         for k in marks:
             assert np.allclose(rec["tangents"][k], tangents[:, k], **tol)
             assert np.allclose(rec["positions"][k], positions[:, k], **tol)
 
+    @pytest.mark.parametrize("paths,n,segments", [(2100, 9, 1), (3, 50, 7), (17, 997, 31)])
+    def test_tangent_only_scan_keeps_the_tangent_bits(self, paths, n, segments):
+        # a scan that reads no position skips the curve and takes the
+        # tangent only at marked steps; the tangents are the same bits
+        assert segment_plan(paths, n)[0] == segments
+        omega = self._omega(paths, n, seed=n + 1)
+        marks = (0, 1, n // 3, n // 2 + 1, n - 1, n)
+        kwargs = dict(weights=(0.01, 0.02), tangent_marks=marks, want_final_frame=True)
+        alone = frame_scan(_rotvec_steps(omega), paths, n, **kwargs)
+        with_curve = frame_scan(_rotvec_steps(omega), paths, n, position_marks=(n // 2,),
+                                **kwargs)
+        assert set(alone) == {"tangents", "positions", "final_frame"}
+        assert alone["positions"] == {}
+        assert set(with_curve["positions"]) == {n // 2}
+        assert set(alone["tangents"]) == set(with_curve["tangents"]) == set(marks)
+        for k in marks:
+            assert np.array_equal(alone["tangents"][k], with_curve["tangents"][k])
+        assert np.array_equal(alone["final_frame"], with_curve["final_frame"])
+
     def test_mark_outside_grid_rejected(self):
-        with pytest.raises(ValueError):
-            frame_scan(_rotvec_steps(np.zeros((1, 5, 3))), 1, 5, weights=(0.0, 1.0), marks=(6,))
+        for marks in (dict(tangent_marks=(6,)), dict(position_marks=(6,)),
+                      dict(tangent_marks=(-1,))):
+            with pytest.raises(ValueError, match="outside 0..5"):
+                frame_scan(_rotvec_steps(np.zeros((1, 5, 3))), 1, 5, weights=(0.0, 1.0),
+                           **marks)
 
     @pytest.mark.parametrize("paths,n,expected", [
         (83, 100_000, (49, 2041)),
