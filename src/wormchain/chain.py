@@ -68,15 +68,14 @@ class FrcConfig:
             raise ValueError(f"bond_angle must lie in [0, pi), got {self.bond_angle!r}")
 
     @classmethod
-    def raw(cls, n_bonds: int, bond_length: float, bond_angle: float,
-            *, allow_zero_angle: bool = False) -> "FrcConfig":
+    def raw(cls, n_bonds: int, bond_length: float, bond_angle: float) -> "FrcConfig":
         """Build from explicit bond length and bond angle.
 
-        ``bond_angle == 0`` is a degenerate straight rod and is rejected
-        unless ``allow_zero_angle`` is set (useful as a test oracle).
+        ``bond_angle == 0`` is a degenerate straight rod and is rejected; the
+        bare constructor builds it (a test oracle).
         """
-        if bond_angle == 0.0 and not allow_zero_angle:
-            raise ValueError("bond_angle = 0 is degenerate; pass allow_zero_angle=True for testing")
+        if bond_angle == 0.0:
+            raise ValueError("bond_angle = 0 is a degenerate straight rod")
         return cls(int(n_bonds), float(bond_length), float(bond_angle))
 
     @classmethod

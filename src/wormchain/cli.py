@@ -327,6 +327,8 @@ def _cmd_plotdata(args) -> int:
         if fields and not path_file and not _REPORT_COLUMNS <= set(fields):
             raise _UsageError(f"{args.report} is neither a report nor a path CSV "
                               f"(columns {', '.join(fields)})")
+        if os.path.exists(args.out) and os.path.samefile(args.report, args.out):
+            raise _UsageError(f"--out {args.out} is the --report file; writing would destroy it")
         first_line = [1]
         rows = _table_rows(reader, len(fields), first_line)
         with open(args.out, "w", encoding="utf-8", newline="") as dst:

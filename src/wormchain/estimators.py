@@ -344,7 +344,8 @@ def run_ensemble(model, n_paths: int, observables, seed: int, *,
     chunks = ([model] * len(starts), [observables] * len(starts), [seed] * len(starts),
               starts, stops)
     if workers and workers > 1 and len(starts) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a fork start method forks every worker at the first submit
+        with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
             parts = list(pool.map(_ensemble_chunk, *chunks))
     else:
         parts = list(map(_ensemble_chunk, *chunks))

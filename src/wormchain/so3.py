@@ -16,17 +16,19 @@ Segment plan: a batch of C paths of n steps is cut into B time segments of
 ``L = ceil(n/B)`` steps, ``B = min(n, 4096 // C, floor(sqrt(n)))``.  All C*B
 segments are scanned at once, each from the identity frame, so one numpy
 call advances C*B frames; the segments are then stitched in order
-(``S_b = S_{b-1} E_{b-1}``, ``P_b = P_{b-1} + R(S_{b-1}) r_{b-1}``) and
-marked values, the final frame and full paths are mapped to ``P_b + R(S_b)
-local``.  The sup deviation from the rod needs global positions at every
-step; with more than one segment it comes from a second scan started at the
+(``S_b = S_{b-1} E_{b-1}``, ``P_b = P_{b-1} + R(S_{b-1}) r_{b-1}``).  One
+record holds the local tangent (and position) after each marked step, or
+every step for a full path; one map, ``P_b + R(S_b) local``, takes it to
+global coordinates, so a full path is the marks on every state, bit for
+bit.  The sup deviation from the rod needs global positions at every step;
+with more than one segment it comes from a second scan started at the
 stitched ``(S_b, P_b)``.  The plan depends on (C, n) alone, so results do
 not depend on how paths are spread over workers.
 
 A scan integrates the curve only when something reads a position (a
 position mark, the rod deviation or the full path); otherwise it advances
-the frames alone and takes the tangent only on the steps that carry a mark.
-Either way the tangents are the same bits.
+the frames alone and takes the tangent only on the recorded steps.  Either
+way the tangents are the same bits.
 """
 from __future__ import annotations
 
@@ -117,28 +119,31 @@ def frame_scan(step, paths: int, n_steps: int, *, weights: tuple[float, float],
     ``(C, 3, 3)`` ``final_frame`` and, with ``keep_path``, every state's
     ``tangents_all`` and ``positions_all``, ``(C, n+1, 3)``.  The time
     segments follow :func:`segment_plan`; the curve is integrated only if
-    ``position_marks``, ``rod_step`` or ``keep_path`` asks for it.
+    ``position_marks``, ``rod_step`` or ``keep_path`` asks for it.  Marks and
+    full paths read one record through one map: a full path is the marks on
+    every state, bit for bit.
     """
     n = int(n_steps)
     segments, span = segment_plan(paths, n)
-    tangent_marks, position_marks = ({int(k) for k in m} for m in (tangent_marks, position_marks))
+    tangent_marks, position_marks = (sorted({int(k) for k in m})
+                                     for m in (tangent_marks, position_marks))
+    for k in tangent_marks + position_marks:
+        if not 0 <= k <= n:
+            raise ValueError(f"grid mark {k} outside 0..{n}")
     curve = bool(position_marks) or rod_step is not None or keep_path
     scan = functools.partial(_scan_segments, step, n, span, n - (segments - 1) * span, weights,
                              curve)
 
-    mark_at: dict[int, list[tuple[int, int]]] = {}  # step in segment -> (segment, mark)
-    for k in sorted(tangent_marks | position_marks):
-        if not 0 <= k <= n:
-            raise ValueError(f"grid mark {k} outside 0..{n}")
-        if k:
-            mark_at.setdefault((k - 1) % span, []).append(((k - 1) // span, k))
-
+    # the in-segment steps whose states are recorded: all with keep_path,
+    # else those that carry a mark (state k >= 1 is step (k - 1) % span)
+    record = np.full(span, keep_path)
+    record[[(k - 1) % span for k in tangent_marks + position_marks if k]] = True
     # the rod deviation needs global positions at every step; a lone
     # segment starts at the global origin, so its local values are global
     single = segments == 1
     shape = (paths, segments)
-    end_q, end_r, local, path, sup_sq = scan(_identity(shape), np.zeros((3,) + shape), mark_at,
-                                             keep_path, rod_step if single else None)
+    end_q, end_r, states, sup_sq = scan(_identity(shape), np.zeros((3,) + shape), record,
+                                        rod_step if single else None)
 
     # stitch: S_0 = 1, S_{b+1} = S_b E_b, P_{b+1} = P_b + R(S_b) r_end_b.  Each
     # S_b is renormalized: the rounding of constant-angle steps is biased,
@@ -151,32 +156,29 @@ def frame_scan(step, paths: int, n_steps: int, *, weights: tuple[float, float],
             starts_r[:, :, b + 1] = starts_r[:, :, b] + _rotate(starts_q[:, :, b], end_r[:, :, b])
     if rod_step is not None and not single:
         # rescan each segment from its stitched start
-        sup_sq = scan(starts_q[:, :, :segments], starts_r[:, :, :segments], {}, False,
-                      rod_step)[-1]
+        sup_sq = scan(starts_q[:, :, :segments], starts_r[:, :, :segments],
+                      np.zeros(span, bool), rod_step)[-1]
 
-    out: dict = {"tangents": {}, "positions": {}}
-    local[0] = (np.tile([[0.0], [0.0], [1.0]], paths), np.zeros((3, paths)))
-    for k in sorted(tangent_marks):
-        b = (k - 1) // span if k else 0
-        out["tangents"][k] = _rotate(starts_q[:, :, b], local[k][0]).T
-    for k in sorted(position_marks):
-        b = (k - 1) // span if k else 0
-        out["positions"][k] = (starts_r[:, :, b] + _rotate(starts_q[:, :, b], local[k][1])).T
+    # the one map of recorded (3, C, B, tangent/position, slot) local states
+    # to global ones: t = R(S_b) t_local, r = P_b + R(S_b) r_local
+    glob = _rotate(starts_q[:, :, :segments, None, None], states)
+    values = {"tangents": glob[:, :, :, 0]}
+    if curve:
+        values["positions"] = starts_r[:, :, :segments, None] + glob[:, :, :, 1]
+    slot = np.cumsum(record) - 1
+    out: dict = {}
+    for key, marks, first in (("tangents", tangent_marks, (0.0, 0.0, 1.0)),
+                              ("positions", position_marks, (0.0, 0.0, 0.0))):
+        out[key] = {k: (values[key][:, :, (k - 1) // span, slot[(k - 1) % span]].T if k
+                        else np.tile(first, (paths, 1))) for k in marks}
+        if keep_path:
+            # (3, C, B, L) to (C, B*L, 3), where global state k sits at k - 1
+            flat = np.moveaxis(values[key], 0, -1).reshape(paths, segments * span, 3)[:, :n]
+            out[key + "_all"] = np.concatenate([np.tile(first, (paths, 1, 1)), flat], axis=1)
     if rod_step is not None:
         out["sup_rod_dev"] = np.sqrt(np.max(sup_sq, axis=1))
     if want_final_frame:
         out["final_frame"] = quat_matrix(starts_q[:, :, segments])
-    if keep_path:
-        # map (4 or 3, C, B, L) local states to global tangents and
-        # positions, then to (C, B*L, 3) where global state k sits at k - 1
-        s_q = starts_q[:, :, :segments, None]
-        q_loc, r_loc = path
-        t_all, r_all = (np.moveaxis(a, 0, -1).reshape(paths, segments * span, 3)[:, :n]
-                        for a in (np.array(_third_column(*_qmul(s_q, q_loc))),
-                                  starts_r[:, :, :segments, None] + _rotate(s_q, r_loc)))
-        start = np.zeros((paths, 1, 3))
-        out["tangents_all"] = np.concatenate([start + (0.0, 0.0, 1.0), t_all], axis=1)
-        out["positions_all"] = np.concatenate([start, r_all], axis=1)
     return out
 
 
@@ -186,16 +188,16 @@ def _identity(shape):
     return q
 
 
-def _scan_segments(step, n, span, tail, weights, curve, q0, r0, mark_at, keep_path, rod_step):
+def _scan_segments(step, n, span, tail, weights, curve, q0, r0, record, rod_step):
     """The per-step loop of :func:`frame_scan`: scan C x B segments side by
     side from their start frames ``q0`` and positions ``r0``, each over
     ``span`` steps (``tail`` real ones in the last segment).
 
-    Returns the end frames and positions, the tangent and position at each
-    marked state index, every state (with ``keep_path``) and the squared
-    rod deviation's running maximum (with ``rod_step``).  Without ``curve``
-    the positions are not integrated (the end positions and marked
-    positions are None) and the tangent is taken only at marked steps.
+    Returns the end frames and positions, the local states and the squared
+    rod deviation's running maximum (with ``rod_step``).  The states are
+    ``(3, C, B, 1 + curve, slots)``: the tangent and, with ``curve``, the
+    position after each step ``j`` with ``record[j]`` set, in step order.
+    Without ``curve`` the end positions are None.
     """
     w, x, y, z = (np.array(c) for c in q0)
     paths, segments = w.shape
@@ -205,13 +207,10 @@ def _scan_segments(step, n, span, tail, weights, curve, q0, r0, mark_at, keep_pa
         tx, ty, tz = _third_column(w, x, y, z)
     base = np.arange(segments) * span
     c_old, c_new = (float(c) for c in weights)
-    path = sup_sq = None
-    if keep_path:
-        path = (np.empty((4, paths, segments, span)), np.empty((3, paths, segments, span)))
-    if rod_step is not None:
-        sup_sq = np.zeros((paths, segments))
-    local = {}
-    for j in range(span):
+    states = np.empty((3, paths, segments, 1 + curve, int(np.count_nonzero(record))))
+    sup_sq = None if rod_step is None else np.zeros((paths, segments))
+    slot = 0
+    for j, recorded in enumerate(record.tolist()):
         idx = np.minimum(base + j, n - 1)
         step(idx, pw, px, py)
         ragged = j >= tail
@@ -222,7 +221,6 @@ def _scan_segments(step, n, span, tail, weights, curve, q0, r0, mark_at, keep_pa
             py[:, -1] = 0.0
         w, x, y, z = (w * pw - x * px - y * py, w * px + x * pw - z * py,
                       w * py + y * pw + z * px, z * pw + x * py - y * px)
-        marked = mark_at.get(j, ())
         if curve:
             ux, uy, uz = _third_column(w, x, y, z)
             dx, dy, dz = c_new * ux, c_new * uy, c_new * uz
@@ -236,14 +234,13 @@ def _scan_segments(step, n, span, tail, weights, curve, q0, r0, mark_at, keep_pa
             ry += dy
             rz += dz
             tx, ty, tz = ux, uy, uz
-        elif marked:
+        elif recorded:
             tx, ty, tz = _third_column(w, x, y, z)
-        for b, k in marked:
-            local[k] = (np.array([tx[:, b], ty[:, b], tz[:, b]]),
-                        np.array([rx[:, b], ry[:, b], rz[:, b]]) if curve else None)
-        if keep_path:
-            path[0][:, :, :, j] = (w, x, y, z)
-            path[1][:, :, :, j] = (rx, ry, rz)
+        if recorded:
+            states[:, :, :, 0, slot] = tx, ty, tz
+            if curve:
+                states[:, :, :, 1, slot] = rx, ry, rz
+            slot += 1
         if rod_step is not None:
             dev = rz - (idx + 1) * rod_step
             dev *= dev
@@ -251,7 +248,7 @@ def _scan_segments(step, n, span, tail, weights, curve, q0, r0, mark_at, keep_pa
             dev += ry * ry
             np.maximum(sup_sq, dev, out=sup_sq)
     end_r = np.array([rx, ry, rz]) if curve else None
-    return np.array([w, x, y, z]), end_r, local, path, sup_sq
+    return np.array([w, x, y, z]), end_r, states, sup_sq
 
 
 def _third_column(w, x, y, z):

@@ -49,10 +49,13 @@ class TestFrcConfig:
             FrcConfig(**kwargs)
 
     def test_zero_angle_needs_explicit_override(self):
+        # raw rejects the straight rod; the bare constructor builds it, and
+        # raw has no override keyword
         with pytest.raises(ValueError):
             FrcConfig.raw(10, 1.0, 0.0)
-        cfg = FrcConfig.raw(10, 1.0, 0.0, allow_zero_angle=True)
-        assert cfg.bond_angle == 0.0
+        assert FrcConfig(10, 1.0, 0.0).bond_angle == 0.0
+        with pytest.raises(TypeError):
+            FrcConfig.raw(10, 1.0, 0.0, allow_zero_angle=True)
 
     def test_scaled_requires_small_angle(self):
         with pytest.raises(ValueError):
@@ -67,7 +70,7 @@ class TestSampleFrc:
         assert chain.phis.shape == (0,)
 
     def test_zero_angle_gives_straight_rod(self):
-        cfg = FrcConfig.raw(50, 0.25, 0.0, allow_zero_angle=True)
+        cfg = FrcConfig(50, 0.25, 0.0)
         chain = sample_frc(cfg, path_rng(1, 0))
         expected = np.zeros((51, 3))
         expected[:, 2] = 0.25 * np.arange(51)
@@ -205,7 +208,7 @@ class TestBondCorrelationOracle:
 
 class TestMsdOracle:
     def test_rigid_rod(self):
-        cfg = FrcConfig.raw(20, 0.5, 0.0, allow_zero_angle=True)
+        cfg = FrcConfig(20, 0.5, 0.0)
         assert frc_msd_oracle(cfg) == pytest.approx((20 * 0.5) ** 2, rel=1e-14)
 
     def test_single_bond(self):

@@ -450,6 +450,18 @@ class TestPlotdata:
         assert run_cli("plotdata", "--report", _PLOT_DATA / f"{name}.csv", "--out", out) == 0
         assert out.read_bytes() == (_PLOT_DATA / f"{name}.plot.csv").read_bytes()
 
+    def test_out_that_is_the_report_is_rejected(self, capsys, tmp_path):
+        # the same file, by name or through a symlink, is never opened for
+        # writing: the input stays byte-identical
+        source = tmp_path / "p.csv"
+        source.write_bytes((_PLOT_DATA / "path.csv").read_bytes())
+        link = tmp_path / "link.csv"
+        link.symlink_to(source)
+        for out in (source, link):
+            assert run_cli("plotdata", "--report", source, "--out", out) == 2
+            assert "is the --report file" in capsys.readouterr().err
+            assert source.read_bytes() == (_PLOT_DATA / "path.csv").read_bytes()
+
     @pytest.fixture()
     def report_csv(self, tmp_path):
         run_cli("verify", "--suite", "correlation", "--n-steps", 200,

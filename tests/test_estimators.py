@@ -25,7 +25,8 @@ from wormchain.estimators import (
     tangent_dot_observable,
     write_reports_csv,
 )
-from wormchain.kp import KpConfig, _draw_increments, simulate_kp
+from wormchain.kp import KpConfig, _draw_increments, _kp_scan, simulate_kp
+from wormchain.so3 import segment_plan
 
 
 def summary_of(values, model=None, seed=0):
@@ -133,6 +134,34 @@ class TestRunEnsemble:
         assert np.array_equal(serial.means, parallel.means)
         assert np.array_equal(serial.m2s, parallel.m2s)
 
+    def test_pool_is_no_wider_than_the_chunk_count(self, monkeypatch):
+        # a fork start method forks every worker at the first submit, so an
+        # uncapped pool would fork idle processes; this pool starts none
+        monkeypatch.setattr(est, "_CHUNK_BUDGET", 2 * 16 * 7)  # 40 paths in 6 chunks
+        widths = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(est, "ProcessPoolExecutor", SerialPool)
+        cfg = KpConfig(1.0, 1.0, 16)
+        obs = (tangent_dot_observable(cfg, 0.0, 1.0),)
+        serial = run_ensemble(cfg, 40, obs, seed=12, workers=1)
+        for workers in (5000, 3):
+            pooled = run_ensemble(cfg, 40, obs, seed=12, workers=workers)
+            assert np.array_equal(pooled.means, serial.means)
+        assert widths == [6, 3]
+
     def test_chunked_matches_single_chunk(self, monkeypatch):
         cfg = KpConfig(1.0, 1.0, 16)
         obs = (msd_observable(cfg, 1.0),)
@@ -231,6 +260,27 @@ class TestObservables:
     def test_numpy_scalars_are_valid_params(self):
         obs = Observable("o", "coord_sq", (np.int64(2), np.int64(4), np.float64(0.5), 3))
         assert obs.position_marks == (4,)
+
+    @pytest.mark.parametrize("paths,n", [(1, 20_000), (3, 997), (83, 400)])
+    def test_kept_path_is_the_marked_scan(self, paths, n):
+        # a full path is the marks on every state: one record, one map, so
+        # the same bits in every time segment
+        assert segment_plan(paths, n)[0] > 1
+        rng = np.random.default_rng(n)
+        every = tuple(range(n + 1))
+        dbeta = rng.normal(scale=0.1, size=(paths, n, 2))
+        kept = _kp_scan(1.0, 0.01, dbeta, keep_path=True)
+        marked = _kp_scan(1.0, 0.01, dbeta, tangent_marks=every, position_marks=every)
+        for k in every:
+            assert np.array_equal(kept["tangents_all"][:, k], marked["tangents"][k])
+            assert np.array_equal(kept["positions_all"][:, k], marked["positions"][k])
+        # a chain of n + 1 bonds scans n torsion steps
+        cfg = FrcConfig.raw(n + 1, 0.5, 0.7)
+        phis = rng.uniform(0.0, 2.0 * math.pi, size=(paths, n))
+        beads = _frc_scan(cfg, phis, keep_beads=True)["beads_all"]
+        marked = _frc_scan(cfg, phis, position_marks=tuple(range(n + 2)))
+        for m in range(n + 2):
+            assert np.array_equal(beads[:, m], marked["positions"][m])
 
     def test_chain_record_is_keyed_by_bond_and_bead(self):
         # bond 1 is exactly e3, so T_1 . T_{1+k} is the z-component of bond
