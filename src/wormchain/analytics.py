@@ -12,6 +12,7 @@ standard Brownian motion.
 from __future__ import annotations
 
 import math
+import numbers
 
 __all__ = [
     "kp_tangent_correlation",
@@ -24,6 +25,8 @@ __all__ = [
 # ~4 digits to cancellation; switch to its series in t/ell_p.
 _MSD_SERIES_CUTOFF = 1e-4
 
+_MAX_COUNT = 1 << 58  # steps; past it a path's (n + 1, 3) float64 arrays exceed 2**63 bytes
+
 
 def _check_positive(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0.0):
@@ -33,6 +36,23 @@ def _check_positive(name: str, value: float) -> None:
 def _check_nonnegative(name: str, value: float) -> None:
     if not (math.isfinite(value) and value >= 0.0):
         raise ValueError(f"{name} must be nonnegative, got {value!r}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_size(cause: str, count: float) -> float:
+    if count > _MAX_COUNT:
+        from decimal import Decimal  # formats any int; imported only to reject one
+        raise ValueError(f"{cause} asks for {Decimal(count):.3e} steps; a path holds at most 2**58")
+    return count
+
+
+def _check_count(name: str, value: int) -> int:
+    if not (_is_int(value) and value >= 1):
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return _check_size(name, int(value))
 
 
 def kp_tangent_correlation(ell_p: float, s: float, t: float) -> float:

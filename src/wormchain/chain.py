@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytics import _check_count, _check_positive, _is_int
 from .so3 import frame_scan
 
 __all__ = [
@@ -60,10 +61,8 @@ class FrcConfig:
     bond_angle: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_bonds, (int, np.integer)) or self.n_bonds < 1:
-            raise ValueError(f"n_bonds must be a positive integer, got {self.n_bonds!r}")
-        if not (math.isfinite(self.bond_length) and self.bond_length > 0.0):
-            raise ValueError(f"bond_length must be positive, got {self.bond_length!r}")
+        object.__setattr__(self, "n_bonds", _check_count("n_bonds", self.n_bonds))
+        _check_positive("bond_length", self.bond_length)
         if not (0.0 <= self.bond_angle < math.pi):
             raise ValueError(f"bond_angle must lie in [0, pi), got {self.bond_angle!r}")
 
@@ -76,7 +75,7 @@ class FrcConfig:
         """
         if bond_angle == 0.0:
             raise ValueError("bond_angle = 0 is a degenerate straight rod")
-        return cls(int(n_bonds), float(bond_length), float(bond_angle))
+        return cls(n_bonds, float(bond_length), float(bond_angle))
 
     @classmethod
     def scaled(cls, n_bonds: int, contour_length: float, kappa: float) -> "FrcConfig":
@@ -85,13 +84,9 @@ class FrcConfig:
         Derives ``a = L/N`` and ``theta = kappa/sqrt(N)``; requires
         ``kappa > 0`` and ``theta < pi``.
         """
-        n = int(n_bonds)
-        if n < 1:
-            raise ValueError(f"n_bonds must be a positive integer, got {n_bonds!r}")
-        if not (math.isfinite(contour_length) and contour_length > 0.0):
-            raise ValueError(f"contour_length must be positive, got {contour_length!r}")
-        if not (math.isfinite(kappa) and kappa > 0.0):
-            raise ValueError(f"kappa must be positive, got {kappa!r}")
+        n = _check_count("n_bonds", n_bonds)
+        _check_positive("contour_length", contour_length)
+        _check_positive("kappa", kappa)
         theta = kappa / math.sqrt(n)
         if theta >= math.pi:
             raise ValueError(
@@ -222,7 +217,7 @@ def frc_bond_correlation_oracle(theta: float, k: int) -> float:
     leaves cos(theta) times that bond; iterating the conditional expectation
     over k joints gives the power.
     """
-    if not isinstance(k, (int, np.integer)) or k < 0:
+    if not (_is_int(k) and k >= 0):
         raise ValueError(f"lag k must be a nonnegative integer, got {k!r}")
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")

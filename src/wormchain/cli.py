@@ -113,9 +113,10 @@ def _cmd_simulate_frc(args) -> int:
             if args.contour_length is None or args.kappa is None:
                 raise _UsageError("--contour-length and --kappa must be given together")
             cfg = FrcConfig.scaled(args.n_bonds, args.contour_length, args.kappa)
+        rng = path_rng(args.seed, 0)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    chain = sample_frc(cfg, path_rng(_check_seed(args.seed), 0))
+    chain = sample_frc(cfg, rng)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         write_chain_csv(chain, fh)
     return 0
@@ -124,20 +125,13 @@ def _cmd_simulate_frc(args) -> int:
 def _cmd_simulate_kp(args) -> int:
     try:
         cfg = KpConfig.create(args.contour_length, args.ell_p, args.n_steps)
+        rng = path_rng(args.seed, 0)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    path = simulate_kp(cfg, path_rng(_check_seed(args.seed), 0))
+    path = simulate_kp(cfg, rng)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         write_path_csv(path, fh)
     return 0
-
-
-def _check_seed(seed: int) -> int:
-    # path streams key on the seed as an unsigned 64-bit word; anything
-    # outside that range would wrap onto another seed's streams
-    if not 0 <= seed < 1 << 64:
-        raise _UsageError(f"seed must be an integer in [0, 2**64), got {seed}")
-    return seed
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -189,7 +183,6 @@ def _resolve_params(args, suite: str) -> dict:
             params[key] = flag_value
     if params["seed"] is None:
         raise _UsageError("--seed is required (flag or config file)")
-    _check_seed(params["seed"])
     if params["workers"] is None:
         text = os.environ.get("WORMCHAIN_WORKERS", "1")
         try:
@@ -446,6 +439,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -19,12 +19,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .analytics import (
-    hard_rod_fluctuation_cov,
-    kp_mean_sq_position,
-    kp_tangent_correlation,
-    random_coil_cov,
-)
+from .analytics import (_check_count, _check_size, _is_int, hard_rod_fluctuation_cov,
+                        kp_mean_sq_position, kp_tangent_correlation, random_coil_cov)
 from .chain import (FrcConfig, _draw_torsions, _frc_scan, frc_bond_correlation_oracle,
                     frc_msd_oracle)
 from .kp import KpConfig, _draw_increments, _kp_scan
@@ -95,10 +91,6 @@ _KINDS = {
     "incr_prod": ("iPPf", _incr_prod),
     "sup_rod_dev": ("", lambda rec: rec["sup_rod_dev"]),
 }
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 # params letter -> (test, what the value must be)
@@ -173,10 +165,9 @@ def _stream_key(seed: int, path_index: int) -> np.ndarray:
     """Philox key of path ``path_index``'s stream: ``(seed, path_index)`` as
     two unsigned 64-bit words.  Values outside that range are rejected, not
     wrapped onto another seed's streams."""
-    if not (_is_int(seed) and 0 <= seed < 1 << 64):
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-    if not (_is_int(path_index) and 0 <= path_index < 1 << 64):
-        raise ValueError(f"path_index must be an integer in [0, 2**64), got {path_index!r}")
+    for name, value in (("seed", seed), ("path_index", path_index)):
+        if not (_is_int(value) and 0 <= value < 1 << 64):
+            raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
     return np.array([seed, path_index], dtype=np.uint64)
 
 
@@ -641,12 +632,12 @@ def convergence_table(contour_length: float, kappa: float, n_list, n_paths: int,
 
 
 def _diagnostics_config(contour_length: float, ell_p: float, n_steps, n_paths: int,
-                        grid_points: int, threshold: float) -> KpConfig:
+                        grid_points: int, seed: int, threshold: float) -> KpConfig:
     """Validate a diagnostics suite's parameters, so that bad input fails
     before any regime warning is printed.  Both suites z-test rows."""
-    if grid_points < 1:
-        raise ValueError(f"grid_points must be >= 1, got {grid_points!r}")
+    _check_count("grid_points", grid_points)
     _check_n_paths(n_paths, _MIN_Z_TEST_PATHS)
+    _stream_key(seed, n_paths - 1)
     _check_threshold(threshold)
     return KpConfig.create(contour_length, ell_p, n_steps)
 
@@ -672,7 +663,7 @@ def hard_rod_diagnostics(ell_p: float, contour_length: float, n_paths: int,
     the mean sup-deviation from the rod stays under 0.05; both bounds are
     frozen regression bounds.
     """
-    cfg = _diagnostics_config(contour_length, ell_p, n_steps, n_paths, grid_points, threshold)
+    cfg = _diagnostics_config(contour_length, ell_p, n_steps, n_paths, grid_points, seed, threshold)
     rows = []
     for j in range(1, grid_points + 1):
         k = _snap_index(cfg, j * contour_length / grid_points)
@@ -703,7 +694,7 @@ def random_coil_diagnostics(ell_p: float, contour_length: float, n_paths: int,
     exact mean-squared-position form.  The grid must resolve ``ell_p``:
     ``h = L/n_steps <= ell_p/10``, else ``ValueError``.
     """
-    cfg = _diagnostics_config(contour_length, ell_p, n_steps, n_paths, grid_points, threshold)
+    cfg = _diagnostics_config(contour_length, ell_p, n_steps, n_paths, grid_points, seed, threshold)
     scale = 3.0 / ell_p
     rows = []
     for g in range(1, grid_points + 1):
@@ -724,6 +715,7 @@ def random_coil_diagnostics(ell_p: float, contour_length: float, n_paths: int,
     # 4000 paths, coilsum reads z = -15.6 at h = ell_p, -5.8 at ell_p/4 and
     # -1.0 at ell_p/10
     if cfg.h > ell_p / 10.0:
+        _check_size(f"ell_p = {ell_p!r} at h <= ell_p/10", 10.0 * contour_length / ell_p)
         raise ValueError(
             f"random-coil diagnostics need a grid step h <= ell_p/10; got h={cfg.h!r} for "
             f"ell_p={ell_p!r}; use n_steps >= {math.ceil(10.0 * contour_length / ell_p)}")

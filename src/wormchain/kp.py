@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytics import _check_count, _check_positive, _check_size
 from .so3 import frame_scan
 
 __all__ = [
@@ -54,7 +55,9 @@ _CSV_BLOCK_ROWS = 4096
 
 def default_n_steps(contour_length: float, ell_p: float) -> int:
     """Grid resolution that resolves the correlation length with >= 50 steps."""
-    return max(1000, math.ceil(100.0 * contour_length / ell_p))
+    _check_positive("contour_length", contour_length)
+    _check_positive("ell_p", ell_p)
+    return max(1000, math.ceil(_check_size(f"ell_p = {ell_p!r}", 100.0 * contour_length / ell_p)))
 
 
 @dataclass(frozen=True)
@@ -66,18 +69,15 @@ class KpConfig:
     n_steps: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.contour_length) and self.contour_length > 0.0):
-            raise ValueError(f"contour_length must be positive, got {self.contour_length!r}")
-        if not (math.isfinite(self.ell_p) and self.ell_p > 0.0):
-            raise ValueError(f"ell_p must be positive, got {self.ell_p!r}")
-        if not isinstance(self.n_steps, (int, np.integer)) or self.n_steps < 1:
-            raise ValueError(f"n_steps must be a positive integer, got {self.n_steps!r}")
+        _check_positive("contour_length", self.contour_length)
+        _check_positive("ell_p", self.ell_p)
+        object.__setattr__(self, "n_steps", _check_count("n_steps", self.n_steps))
 
     @classmethod
     def create(cls, contour_length: float, ell_p: float, n_steps: int | None = None) -> "KpConfig":
         if n_steps is None:
             n_steps = default_n_steps(contour_length, ell_p)
-        return cls(float(contour_length), float(ell_p), int(n_steps))
+        return cls(float(contour_length), float(ell_p), n_steps)
 
     @property
     def h(self) -> float:
@@ -153,8 +153,7 @@ def _kp_scan(ell_p: float, h: float, dbeta: np.ndarray, *,
     (h/2)(Q_{k-1} + Q_k)``.  Marks are grid indices in ``0..n``.
     ``track_sup_rod_dev`` records ``sup_k |R_k - s_k e3|`` per path.
     """
-    if not (math.isfinite(ell_p) and ell_p > 0.0):
-        raise ValueError(f"ell_p must be positive, got {ell_p!r}")
+    _check_positive("ell_p", ell_p)
     paths, n, two = dbeta.shape
     if two != 2:
         raise ValueError(f"dbeta must have shape (C, n_steps, 2), got {dbeta.shape}")

@@ -43,10 +43,33 @@ class TestFrcConfig:
         dict(n_bonds=5, bond_length=-1.0, bond_angle=0.1),
         dict(n_bonds=5, bond_length=1.0, bond_angle=math.pi),
         dict(n_bonds=5, bond_length=1.0, bond_angle=-0.1),
+        dict(n_bonds=True, bond_length=1.0, bond_angle=0.1),
+        dict(n_bonds=2.7, bond_length=1.0, bond_angle=0.1),
+        dict(n_bonds="7", bond_length=1.0, bond_angle=0.1),
+        dict(n_bonds=2**58 + 1, bond_length=1.0, bond_angle=0.1),
+        dict(n_bonds=5, bond_length=math.inf, bond_angle=0.1),
+        dict(n_bonds=5, bond_length=math.nan, bond_angle=0.1),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             FrcConfig(**kwargs)
+
+    @pytest.mark.parametrize("factory, args", [
+        (FrcConfig.raw, (2.7, 1.0, 0.5)),     # once 2 bonds
+        (FrcConfig.raw, ("7", 1.0, 0.5)),     # once 7 bonds
+        (FrcConfig.raw, (True, 1.0, 0.5)),
+        (FrcConfig.scaled, (2.7, 1.0, 1.0)),  # once 2 bonds
+        (FrcConfig.scaled, (True, 1.0, 1.0)),
+        (FrcConfig.scaled, (10**400, 1.0, 1.0)),  # once OverflowError in sqrt(N)
+    ])
+    def test_factories_reject_what_is_no_bond_count(self, factory, args):
+        with pytest.raises(ValueError, match="n_bonds"):
+            factory(*args)
+
+    def test_numpy_integer_bond_counts_are_valid(self):
+        raw = FrcConfig.raw(np.int64(100), 0.01, math.sqrt(2) / 10.0)
+        assert raw == FrcConfig.scaled(np.int64(100), 1.0, math.sqrt(2))
+        assert type(raw.n_bonds) is int and type(FrcConfig(np.int64(3), 1.0, 0.1).n_bonds) is int
 
     def test_zero_angle_needs_explicit_override(self):
         # raw rejects the straight rod; the bare constructor builds it, and
@@ -204,6 +227,14 @@ class TestBondCorrelationOracle:
     def test_negative_lag_rejected(self):
         with pytest.raises(ValueError):
             frc_bond_correlation_oracle(0.5, -1)
+
+    @pytest.mark.parametrize("k", [True, 2.0, "2"])
+    def test_lag_that_is_no_integer_rejected(self, k):
+        with pytest.raises(ValueError, match="lag k"):
+            frc_bond_correlation_oracle(0.5, k)
+
+    def test_numpy_integer_lag(self):
+        assert frc_bond_correlation_oracle(0.5, np.int64(2)) == math.cos(0.5) ** 2
 
 
 class TestMsdOracle:

@@ -270,6 +270,12 @@ class TestBadInput:
         self._usage_error(capsys, "simulate-frc", "--n-bonds", 4, "--contour-length", 1,
                           "--kappa", 1, "--seed", seed, "--out", tmp_path / "c.csv")
         assert not (tmp_path / "p.csv").exists() and not (tmp_path / "c.csv").exists()
+        # both diagnostics suites would warn about their regime before sampling
+        self._usage_error(capsys, "verify", "--suite", "hard-rod", "--ell-p", 10,
+                          "--seed", seed, "--out-dir", tmp_path)
+        self._usage_error(capsys, "verify", "--suite", "random-coil", "--ell-p", 0.5,
+                          "--n-steps", 50, "--seed", seed, "--out-dir", tmp_path)
+        assert not list(tmp_path.glob("report-*"))
 
     @pytest.mark.parametrize("suite", ["msd", "correlation"])
     def test_arclength_snapping_to_origin(self, capsys, tmp_path, suite):
@@ -332,6 +338,63 @@ class TestBadInput:
         config.write_text("seed = -5\n")
         self._usage_error(capsys, "verify", "--suite", "correlation", "--config", config,
                           "--out-dir", tmp_path)
+
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--ell-p", 0, "ell_p"),      # once ZeroDivisionError in the default grid
+        ("--ell-p", "nan", "ell_p"),  # once "cannot convert float NaN to integer"
+        ("--ell-p", "inf", "ell_p"),
+        ("--contour-length", "inf", "contour_length"),  # once OverflowError
+    ])
+    @pytest.mark.parametrize("command", [
+        ("simulate-kp", "--contour-length", 1, "--ell-p", 1),
+        ("verify", "--suite", "correlation"),
+        ("verify", "--suite", "msd"),
+        ("verify", "--suite", "hard-rod"),
+        ("verify", "--suite", "random-coil"),
+    ], ids=lambda c: c[-1] if c[0] == "verify" else c[0])
+    def test_lengths_must_be_finite_and_positive(self, capsys, tmp_path, command, flag,
+                                                 value, name):
+        out = ("--out", tmp_path / "p.csv") if command[0] == "simulate-kp" else (
+            "--n-paths", 30, "--out-dir", tmp_path)
+        err = self._usage_error(capsys, *command, flag, value, "--seed", 1, *out)
+        assert f"{name} must be positive" in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("args, cause, count", [
+        (("--ell-p", "1e-300"), "ell_p = 1e-300", "1.000e+302"),  # numpy's dimension error
+        (("--ell-p", "1e-310"), "ell_p = 1e-310", "Infinity"),    # 100 L/ell_p overflows
+        (("--ell-p", 1, "--n-steps", 10**20), "n_steps", "1.000e+20"),
+    ])
+    def test_grid_beyond_numpy_index_range(self, capsys, tmp_path, args, cause, count):
+        err = self._usage_error(capsys, "simulate-kp", "--contour-length", 1, *args,
+                                "--seed", 1, "--out", tmp_path / "p.csv")
+        assert err.startswith(f"error: {cause} asks for {count} steps") and "2**58" in err
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_counts_beyond_numpy_index_range(self, capsys, tmp_path):
+        # the coil suite's n_steps hint once took math.ceil of inf
+        err = self._usage_error(capsys, "verify", "--suite", "random-coil", "--ell-p", 1e-310,
+                                "--n-steps", 1000, "--n-paths", 30, "--seed", 1,
+                                "--out-dir", tmp_path)
+        assert "ell_p = 1e-310" in err and "Infinity steps" in err
+        err = self._usage_error(capsys, "simulate-frc", "--n-bonds", 10**400, "--contour-length",
+                                1, "--kappa", 1, "--seed", 1, "--out", tmp_path / "c.csv")
+        assert "n_bonds asks for 1.000e+400 steps" in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_out_of_memory_is_one_error_line(self, capsys, tmp_path, monkeypatch):
+        # stands in for a grid that fits numpy's index range but not memory,
+        # such as --ell-p 1e-12 (1e14 steps); no test allocates one
+        def no_memory(cfg, rng):
+            raise MemoryError("Unable to allocate 1.42 PiB for an array")
+
+        monkeypatch.setattr("wormchain.cli.simulate_kp", no_memory)
+        code = run_cli("simulate-kp", "--contour-length", 1, "--ell-p", 1, "--seed", 1,
+                       "--out", tmp_path / "p.csv")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: out of memory: Unable to allocate 1.42 PiB for an array\n"
+        assert not (tmp_path / "p.csv").exists()
 
 
 class TestAttempts:

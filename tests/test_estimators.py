@@ -516,6 +516,13 @@ class TestSuites:
         with pytest.raises(ValueError, match="grid_points"):
             random_coil_diagnostics(0.01, 1.0, 8, 0, seed=0, n_steps=50)
 
+    @pytest.mark.parametrize("grid_points", [True, 2.5])
+    def test_diagnostics_grid_points_must_be_a_count(self, grid_points):
+        # True once ran one grid point; 2.5 once raised TypeError in range()
+        for suite in (hard_rod_diagnostics, random_coil_diagnostics):
+            with pytest.raises(ValueError, match="grid_points must be a positive integer"):
+                suite(0.01, 1.0, 30, grid_points, seed=0, n_steps=1000)
+
     def test_hard_rod_regime_warning(self):
         with pytest.warns(RuntimeWarning):
             hard_rod_diagnostics(10.0, 1.0, 30, 1, seed=0, n_steps=50)

@@ -38,10 +38,42 @@ class TestKpConfig:
         dict(contour_length=0.0, ell_p=1.0, n_steps=10),
         dict(contour_length=1.0, ell_p=-1.0, n_steps=10),
         dict(contour_length=1.0, ell_p=1.0, n_steps=0),
+        dict(contour_length=1.0, ell_p=1.0, n_steps=True),
+        dict(contour_length=1.0, ell_p=1.0, n_steps=3.9),
+        dict(contour_length=1.0, ell_p=1.0, n_steps="7"),
+        dict(contour_length=1.0, ell_p=1.0, n_steps=2**58 + 1),
+        dict(contour_length=math.inf, ell_p=1.0, n_steps=10),
+        dict(contour_length=1.0, ell_p=math.nan, n_steps=10),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             KpConfig(**kwargs)
+
+    @pytest.mark.parametrize("args, name", [
+        ((1, 1, 3.9), "n_steps"),   # once truncated to 3 steps
+        ((1, 1, "7"), "n_steps"),   # once parsed to 7 steps
+        ((1, 1, True), "n_steps"),  # once 1 step
+        ((1, 1, 10**20), "n_steps"),
+        ((1, 0), "ell_p"),          # once ZeroDivisionError
+        ((1, math.nan), "ell_p"),
+        ((1, 1e-300), "ell_p"),     # a grid of 1e302 steps
+        ((1, 1e-310), "ell_p"),     # once OverflowError: 100 L/ell_p is inf
+        ((math.inf, 1), "contour_length"),  # once OverflowError
+    ])
+    def test_create_rejects_what_it_cannot_grid(self, args, name):
+        with pytest.raises(ValueError, match=name):
+            KpConfig.create(*args)
+
+    def test_default_steps_check_before_dividing(self):
+        # a negative ell_p once gave a negative step count, floored to 1000
+        with pytest.raises(ValueError, match="ell_p must be positive"):
+            default_n_steps(1, -1)
+        with pytest.raises(ValueError, match="contour_length must be positive"):
+            default_n_steps(-1, 1)
+
+    def test_numpy_integer_steps_are_valid(self):
+        for cfg in (KpConfig(1.0, 1.0, np.int64(4)), KpConfig.create(1, 1, np.int64(4))):
+            assert cfg.n_steps == 4 and type(cfg.n_steps) is int and cfg.h == 0.25
 
 
 class TestBrownianDriver:
