@@ -36,8 +36,6 @@ from .kp import KpConfig, simulate_kp, write_path_csv
 
 __all__ = ["main"]
 
-SUITES = ("correlation", "msd", "converge", "hard-rod", "random-coil")
-
 # Per-suite defaults, overridden by a config file and then by explicit flags.
 _SUITE_DEFAULTS = {
     "correlation": {"ell_p": 1.0, "contour_length": 1.0, "n_paths": 10000},
@@ -46,6 +44,25 @@ _SUITE_DEFAULTS = {
                  "n_list": "100,1000,10000"},
     "hard-rod": {"ell_p": 1.0e4, "contour_length": 1.0, "n_paths": 10000, "grid_points": 4},
     "random-coil": {"ell_p": 1.0e-3, "contour_length": 1.0, "n_paths": 1000, "grid_points": 4},
+}
+SUITES = tuple(_SUITE_DEFAULTS)
+
+# verify's parameters, each a --flag and a config-file key, in flag order
+_PARAM_TYPES = {
+    "ell_p": float,
+    "contour_length": float,
+    "n_steps": int,
+    "n_paths": int,
+    "seed": int,
+    "kappa": float,
+    "n_list": str,
+    "grid_points": int,
+    "z_threshold": float,
+    "workers": int,
+}
+_PARAM_HELP = {
+    "n_list": "comma-separated chain sizes for the converge suite",
+    "workers": "worker processes (default: WORMCHAIN_WORKERS or 1)",
 }
 
 
@@ -75,17 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run Monte Carlo verification suites")
     verify.add_argument("--suite", required=True, choices=SUITES + ("all",))
-    verify.add_argument("--ell-p", type=float)
-    verify.add_argument("--contour-length", type=float)
-    verify.add_argument("--n-steps", type=int)
-    verify.add_argument("--n-paths", type=int)
-    verify.add_argument("--seed", type=int)
-    verify.add_argument("--kappa", type=float)
-    verify.add_argument("--n-list", help="comma-separated chain sizes for the converge suite")
-    verify.add_argument("--grid-points", type=int)
-    verify.add_argument("--z-threshold", type=float)
-    verify.add_argument("--workers", type=int,
-                        help="worker processes (default: WORMCHAIN_WORKERS or 1)")
+    for key, kind in _PARAM_TYPES.items():
+        verify.add_argument("--" + key.replace("_", "-"), type=kind, help=_PARAM_HELP.get(key))
     verify.add_argument("--out-dir", default=".")
     verify.add_argument("--config", help="flat key = value file; flags override it")
     verify.set_defaults(func=_cmd_verify)
@@ -146,20 +154,6 @@ def _read_config_file(path: str) -> dict[str, str]:
             key, _, value = text.partition("=")
             values[key.strip().replace("-", "_")] = value.strip()
     return values
-
-
-_PARAM_TYPES = {
-    "ell_p": float,
-    "contour_length": float,
-    "n_steps": int,
-    "n_paths": int,
-    "seed": int,
-    "kappa": float,
-    "n_list": str,
-    "grid_points": int,
-    "z_threshold": float,
-    "workers": int,
-}
 
 
 def _resolve_params(args, suite: str) -> dict:

@@ -299,7 +299,7 @@ _MIN_Z_TEST_PATHS = 30
 
 
 def _check_n_paths(n_paths: int, minimum: int = 2) -> None:
-    if n_paths < minimum:
+    if _check_count("n_paths", n_paths) < minimum:
         raise ValueError(f"n_paths must be at least {minimum}, got {n_paths}")
 
 
@@ -553,9 +553,10 @@ def frc_reference_suite(cfg: FrcConfig, n_paths: int, seed: int, *,
     end-bead means vs zero (rotational symmetry about the z axis).
     """
     n = cfg.n_bonds
-    lags = tuple(int(k) for k in lags if 0 <= int(k) <= n - 1)
-    if not lags:
-        raise ValueError(f"no usable lags for a chain of {n} bonds")
+    lags = tuple(lags)
+    if not lags or not all(_is_int(k) and 0 <= k < n for k in lags):
+        raise ValueError(f"lags must be integers in 0..{n - 1} for a chain of {n} bonds, "
+                         f"got {lags!r}")
     length = cfg.contour_length
     rows = [_Check(Observable(f"frc-corr[k={k}]", "tangent_dot", (1, 1 + k)),
                    frc_bond_correlation_oracle(cfg.bond_angle, k), s=k * cfg.bond_length)
@@ -568,9 +569,11 @@ def frc_reference_suite(cfg: FrcConfig, n_paths: int, seed: int, *,
     return _run_rows(cfg, n_paths, seed, rows, threshold, workers)
 
 
-def _monotone_gap_report(name: str, gaps: list[float],
+def _monotone_gap_report(name: str, gap_rows: tuple[ComparisonReport, ...],
                          threshold: float) -> ComparisonReport:
-    """Gap sequence must be non-increasing up to 10% of the smallest gap."""
+    """The gaps ``|estimate - oracle|`` of ``gap_rows``, in order, must be
+    non-increasing up to 10% of the smallest gap."""
+    gaps = [abs(row.estimate - row.oracle) for row in gap_rows]
     violation = 0.0
     for previous, current in zip(gaps, gaps[1:]):
         violation = max(violation, current - previous)
@@ -589,18 +592,18 @@ def convergence_table(contour_length: float, kappa: float, n_list, n_paths: int,
     chain* oracles (these must pass), while informational rows record the
     gap between the chain oracles and the continuum closed forms with
     ``ell_p = 2L/kappa^2``; per-quantity rows then check that the gap is
-    monotone non-increasing in N (up to 10% of the smallest gap).
+    monotone non-increasing in N (up to 10% of the smallest gap).  The
+    ladder ``n_list`` must strictly increase from N >= 2.
     """
-    n_list = [int(n) for n in n_list]
-    if not n_list or any(n < 2 for n in n_list):
-        raise ValueError(f"every N in n_list must be >= 2, got {n_list}")
     cfgs = [FrcConfig.scaled(n, contour_length, kappa) for n in n_list]
+    n_list = [cfg.n_bonds for cfg in cfgs]
+    if not n_list or n_list[0] < 2 or any(a >= b for a, b in zip(n_list, n_list[1:])):
+        raise ValueError(f"n_list must strictly increase from N >= 2, got {n_list}")
     ell_p = 2.0 * contour_length / kappa**2 if kappa**2 > 0.0 else math.inf
     if math.isinf(ell_p):  # kappa**2 underflows to 0, or 2L/kappa**2 overflows
         raise ValueError(f"ell_p = 2L/kappa^2 overflows for L = {contour_length!r}, "
                          f"kappa = {kappa!r}")
-    corr_gaps: dict[float, list[float]] = {f: [] for f in fractions}
-    msd_gaps: list[float] = []
+    gap_rows: list[list[ComparisonReport]] = []  # per N: its kp-gap rows, in row order
     reports: list[ComparisonReport] = []
 
     for n, cfg in zip(n_list, cfgs):
@@ -610,24 +613,22 @@ def convergence_table(contour_length: float, kappa: float, n_list, n_paths: int,
             s_frc = k * cfg.bond_length
             frc_oracle = frc_bond_correlation_oracle(cfg.bond_angle, k)
             kp_oracle = kp_tangent_correlation(ell_p, 0.0, s_frc)
-            corr_gaps[f].append(abs(frc_oracle - kp_oracle))
             rows.append(_Check(Observable(f"frc-corr[N={n},k={k}]", "tangent_dot", (1, 1 + k)),
                                frc_oracle, s=s_frc))
             rows.append(_info_report(f"kp-gap-corr[N={n},f={f}]", frc_oracle, kp_oracle,
                                      s=s_frc))
         frc_msd = frc_msd_oracle(cfg)
         kp_msd = kp_mean_sq_position(ell_p, cfg.contour_length)
-        msd_gaps.append(abs(frc_msd - kp_msd))
         rows.append(_Check(Observable(f"frc-msd[N={n}]", "path_msd", (n,)), frc_msd,
                            t=cfg.contour_length))
         rows.append(_info_report(f"kp-gap-msd[N={n}]", frc_msd, kp_msd, t=cfg.contour_length))
+        gap_rows.append([row for row in rows if isinstance(row, ComparisonReport)])
         reports += _run_rows(cfg, n_paths, seed, rows, threshold, workers)
 
     if len(n_list) >= 2:
-        for f in fractions:
-            reports.append(_monotone_gap_report(f"gap-monotone-corr[f={f}]",
-                                                corr_gaps[f], threshold))
-        reports.append(_monotone_gap_report("gap-monotone-msd", msd_gaps, threshold))
+        names = [f"gap-monotone-corr[f={f}]" for f in fractions] + ["gap-monotone-msd"]
+        reports += [_monotone_gap_report(name, column, threshold)
+                    for name, column in zip(names, zip(*gap_rows))]
     return reports
 
 

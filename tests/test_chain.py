@@ -10,6 +10,7 @@ from wormchain.chain import (
     DiscreteChain,
     FrcConfig,
     _draw_torsions,
+    _frc_scan,
     frc_bond_correlation_oracle,
     frc_msd_oracle,
     sample_frc,
@@ -233,6 +234,13 @@ class TestBondCorrelationOracle:
         with pytest.raises(ValueError, match="lag k"):
             frc_bond_correlation_oracle(0.5, k)
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, theta):
+        # cos(nan)**k would be a nan oracle, and cos(inf) raises a bare
+        # "math domain error"
+        with pytest.raises(ValueError, match="theta must be finite"):
+            frc_bond_correlation_oracle(theta, 3)
+
     def test_numpy_integer_lag(self):
         assert frc_bond_correlation_oracle(0.5, np.int64(2)) == math.cos(0.5) ** 2
 
@@ -346,3 +354,30 @@ class TestSerialization:
     def test_invalid_shapes_rejected(self):
         with pytest.raises(ValueError):
             DiscreteChain(beads=np.zeros((3, 3)), phis=np.zeros(3))
+
+    @pytest.mark.parametrize("beads", [np.zeros(6), np.zeros((3, 2)), np.zeros((1, 3))],
+                             ids=["flat", "two-columns", "no-bond"])
+    def test_bead_shape_rejected(self, beads):
+        with pytest.raises(ValueError, match=r"beads must have shape \(N\+1, 3\) with N >= 1"):
+            DiscreteChain(beads=beads, phis=np.zeros(0))
+
+
+class TestScanInput:
+    """``_frc_scan`` checks its torsions and marks against the chain."""
+
+    cfg = FrcConfig.scaled(4, 1.0, 1.0)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 5)])
+    def test_torsion_count_must_be_n_minus_1(self, shape):
+        with pytest.raises(ValueError, match=r"phis must have shape \(C, 3\)"):
+            _frc_scan(self.cfg, np.zeros(shape))
+
+    @pytest.mark.parametrize("mark", [0, 5])
+    def test_bond_mark_outside_the_chain(self, mark):
+        with pytest.raises(ValueError, match=f"bond mark {mark} outside 1..4"):
+            _frc_scan(self.cfg, np.zeros((2, 3)), tangent_marks=(1, mark))
+
+    @pytest.mark.parametrize("mark", [-1, 5])
+    def test_bead_mark_outside_the_chain(self, mark):
+        with pytest.raises(ValueError, match=f"bead mark {mark} outside 0..4"):
+            _frc_scan(self.cfg, np.zeros((2, 3)), position_marks=(0, mark))

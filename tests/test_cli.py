@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -8,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from wormchain import cli
 from wormchain.cli import main
 
 
@@ -333,6 +335,49 @@ class TestBadInput:
         assert "threshold must be finite and positive" in err
         assert not (tmp_path / f"report-{suite}.csv").exists()
 
+    @pytest.mark.parametrize("args, pair", [
+        (("--bond-length", 0.1), "--bond-length and --bond-angle"),
+        (("--bond-angle", 0.3), "--bond-length and --bond-angle"),
+        (("--contour-length", 1), "--contour-length and --kappa"),
+        (("--kappa", 1), "--contour-length and --kappa"),
+    ])
+    def test_simulate_frc_pair_given_by_half(self, capsys, tmp_path, args, pair):
+        err = self._usage_error(capsys, "simulate-frc", "--n-bonds", 4, *args, "--seed", 1,
+                                "--out", tmp_path / "c.csv")
+        assert f"{pair} must be given together" in err
+        assert not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("seed = 1\nn_paths 300\n", "run.cfg:2: expected 'key = value', got 'n_paths 300'"),
+        ("seed = 1\ncolour = red\n", "unknown config key 'colour'"),
+        ("seed = 1\nn-paths = many\n", "bad value for config key 'n_paths': 'many'"),
+        ("seed = 1\nell_p = 1/2\n", "bad value for config key 'ell_p': '1/2'"),
+    ], ids=["no-equals", "unknown-key", "bad-int", "bad-float"])
+    def test_bad_config_line(self, capsys, tmp_path, text, message):
+        config = tmp_path / "run.cfg"
+        config.write_text(text)
+        err = self._usage_error(capsys, "verify", "--suite", "correlation", "--config", config,
+                                "--out-dir", tmp_path)
+        assert message in err
+        assert not list(tmp_path.glob("report-*"))
+
+    @pytest.mark.parametrize("n_list", ["8,x", "8.5,16", ",", ""])
+    def test_unparsable_n_list(self, capsys, tmp_path, n_list):
+        err = self._usage_error(capsys, "verify", "--suite", "converge", "--n-list", n_list,
+                                "--n-paths", 30, "--seed", 1, "--out-dir", tmp_path)
+        assert err == f"error: bad --n-list {n_list!r}\n"
+        assert not list(tmp_path.glob("report-*"))
+
+    @pytest.mark.parametrize("n_list", ["8,8", "32,8", "1,8"])
+    def test_n_list_must_strictly_increase(self, capsys, tmp_path, n_list):
+        # 8,8 once wrote each N = 8 row twice, and 32,8 checked the gaps
+        # in the wrong direction
+        err = self._usage_error(capsys, "verify", "--suite", "converge", "--n-list", n_list,
+                                "--n-paths", 30, "--seed", 1, "--out-dir", tmp_path)
+        ladder = n_list.replace(",", ", ")
+        assert err == f"error: n_list must strictly increase from N >= 2, got [{ladder}]\n"
+        assert not list(tmp_path.glob("report-*"))
+
     def test_negative_seed_in_config_file(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("seed = -5\n")
@@ -395,6 +440,55 @@ class TestBadInput:
         assert code == 1
         assert err == "error: out of memory: Unable to allocate 1.42 PiB for an array\n"
         assert not (tmp_path / "p.csv").exists()
+
+
+class TestVerifyFlags:
+    # (flag, dest, type, help) of each verify option after --help; a flag
+    # without a type reads a string
+    FLAGS = [
+        ("--suite", "suite", str, None),
+        ("--ell-p", "ell_p", float, None),
+        ("--contour-length", "contour_length", float, None),
+        ("--n-steps", "n_steps", int, None),
+        ("--n-paths", "n_paths", int, None),
+        ("--seed", "seed", int, None),
+        ("--kappa", "kappa", float, None),
+        ("--n-list", "n_list", str, "comma-separated chain sizes for the converge suite"),
+        ("--grid-points", "grid_points", int, None),
+        ("--z-threshold", "z_threshold", float, None),
+        ("--workers", "workers", int, "worker processes (default: WORMCHAIN_WORKERS or 1)"),
+        ("--out-dir", "out_dir", str, None),
+        ("--config", "config", str, "flat key = value file; flags override it"),
+    ]
+
+    # one value per parameter, as a flag or a config file would spell it
+    TEXTS = {"ell_p": "0.5", "contour_length": "2.0", "n_steps": "120", "n_paths": "40",
+             "seed": "9", "kappa": "1.25", "n_list": "8,32", "grid_points": "3",
+             "z_threshold": "3.5", "workers": "2"}
+
+    def test_flags_are_pinned(self):
+        sub = next(a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        actions = sub.choices["verify"]._actions[1:]  # after -h/--help
+        assert [(*a.option_strings, a.dest, a.type or str, a.help) for a in actions] == self.FLAGS
+        assert actions[0].choices == ("correlation", "msd", "converge", "hard-rod",
+                                      "random-coil", "all")
+
+    @pytest.mark.parametrize("key", sorted(TEXTS))
+    def test_flag_and_config_line_resolve_alike(self, tmp_path, key):
+        assert set(self.TEXTS) == set(cli._PARAM_TYPES)
+        text = self.TEXTS[key]
+        base = ["verify", "--suite", "converge"] + ([] if key == "seed" else ["--seed", "1"])
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key} = {text}\n")
+        parser = cli._build_parser()
+        from_flag = cli._resolve_params(
+            parser.parse_args(base + ["--" + key.replace("_", "-"), text]), "converge")
+        from_file = cli._resolve_params(parser.parse_args(base + ["--config", str(config)]),
+                                        "converge")
+        assert from_flag == from_file
+        value = cli._PARAM_TYPES[key](text)
+        assert from_flag[key] == value and type(from_flag[key]) is type(value)
 
 
 class TestAttempts:

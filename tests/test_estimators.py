@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -106,6 +107,25 @@ class TestEnsembleSummary:
     def test_unknown_observable(self):
         with pytest.raises(KeyError):
             summary_of([1.0, 2.0]).mean("nope")
+
+    @pytest.mark.parametrize("means, m2s", [([1.0, 2.0], [0.0]), ([1.0], [0.0, 0.0]),
+                                            ([[1.0]], [0.0])])
+    def test_moments_must_match_the_observables(self, means, m2s):
+        obs = (Observable("v0", "path_msd", (0,)),)
+        with pytest.raises(ValueError, match="means/m2s length must match the observable list"):
+            EnsembleSummary(KpConfig(1.0, 1.0, 4), 0, obs, 2, means, m2s)
+
+    def test_stderr_needs_two_paths(self):
+        # M2 / (n (n - 1)) once divided by zero at one path
+        with pytest.raises(ValueError, match="stderr needs at least two paths"):
+            summary_of([3.0]).stderr("v0")
+
+    def test_merge_requires_same_observables(self):
+        a, b = (EnsembleSummary.from_values(KpConfig(1.0, 1.0, 4), 0,
+                                            (Observable(name, "path_msd", (0,)),), [[1.0, 2.0]])
+                for name in "ab")
+        with pytest.raises(ValueError, match="cannot merge summaries with different observables"):
+            a.merge(b)
 
 
 class TestRunEnsemble:
@@ -225,6 +245,14 @@ class TestRunEnsemble:
         with pytest.raises(ValueError):
             run_ensemble("not a model", 4, obs, seed=0)
 
+    @pytest.mark.parametrize("n_paths", [2.5, "30", True, 0])
+    def test_path_count_must_be_a_positive_integer(self, n_paths):
+        # 2.5 once passed the minimum and failed later as a path_index of 1.5
+        cfg = KpConfig(1.0, 1.0, 8)
+        with pytest.raises(ValueError, match=f"n_paths must be a positive integer, "
+                                             f"got {n_paths!r}"):
+            run_ensemble(cfg, n_paths, (msd_observable(cfg, 1.0),), seed=0)
+
     def test_unknown_kind_and_chain_sup_are_rejected(self):
         with pytest.raises(ValueError, match="unknown observable kind"):
             Observable("b", "bond_corr", (1,))
@@ -327,6 +355,25 @@ class TestComparisonReports:
         assert report.t == pytest.approx(0.3)
         assert report.oracle == pytest.approx(kp_tangent_correlation(1.0, 0.0, 0.3))
 
+    @pytest.mark.parametrize("s, t, name", [(0.0, 1.5, "t"), (-0.5, 0.5, "s"),
+                                            (math.nan, 0.5, "s"), (0.0, math.inf, "t")])
+    def test_arclength_outside_the_path_is_rejected(self, s, t, name):
+        cfg = KpConfig(1.0, 1.0, 10)
+        value = s if name == "s" else t
+        with pytest.raises(ValueError, match=rf"{name} = {value!r} outside \[0, 1.0\]"):
+            tangent_dot_observable(cfg, s, t)
+        if name == "t":
+            with pytest.raises(ValueError, match=rf"t = {t!r} outside \[0, 1.0\]"):
+                msd_observable(cfg, t)
+
+    def test_estimates_need_a_wormlike_chain_summary(self):
+        cfg = FrcConfig.scaled(10, 1.0, 1.0)
+        summary = run_ensemble(cfg, 4, (Observable("msd[k=5]", "path_msd", (5,)),), seed=1)
+        with pytest.raises(ValueError, match="tangent correlation estimates need a wormlike"):
+            estimate_tangent_correlation(summary, 0.0, 0.5)
+        with pytest.raises(ValueError, match="mean-squared-position estimates need a wormlike"):
+            estimate_msd(summary, 0.5)
+
     def test_msd_at_zero(self):
         cfg = KpConfig(1.0, 1.0, 10)
         summary = run_ensemble(cfg, 8, (msd_observable(cfg, 0.0),), seed=4)
@@ -423,9 +470,19 @@ class TestSuites:
         assert msd_row.oracle == pytest.approx(frc_msd_oracle(cfg), rel=1e-14)
 
     def test_frc_reference_suite_rejects_bad_lags(self):
-        cfg = FrcConfig.scaled(4, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            frc_reference_suite(cfg, 100, seed=0, lags=(100,))
+        # 2.7 once ran as lag 2, and lag 50 was dropped from (1, 50)
+        cfg = FrcConfig.scaled(10, 1.0, 1.0)
+        for lags in [(100,), (2.7,), (50,), (1, 50), (-1,), (True,), ("3",), ()]:
+            with pytest.raises(ValueError, match=r"lags must be integers in 0\.\.9 for a chain "
+                                                 f"of 10 bonds, got {re.escape(repr(lags))}"):
+                frc_reference_suite(cfg, 30, seed=0, lags=lags)
+
+    def test_frc_reference_suite_default_lags_need_26_bonds(self):
+        with pytest.raises(ValueError, match="lags must be integers in 0..24"):
+            frc_reference_suite(FrcConfig.scaled(25, 1.0, 1.0), 30, seed=0)
+        names = [r.observable for r in frc_reference_suite(FrcConfig.scaled(26, 1.0, 1.0), 30,
+                                                           seed=0)]
+        assert names[:3] == ["frc-corr[k=1]", "frc-corr[k=5]", "frc-corr[k=25]"]
 
     def test_convergence_table_structure(self):
         reports = convergence_table(1.0, math.sqrt(2), [4, 16], 400, seed=18,
@@ -455,6 +512,20 @@ class TestSuites:
             convergence_table(1.0, 1.0, [1, 4], 100, seed=0)
         with pytest.raises(ValueError):
             convergence_table(1.0, 4.6, [2], 100, seed=0)  # kappa/sqrt(2) > pi
+
+    @pytest.mark.parametrize("n_list", [[8.9, 16], ["16"], [8, True], [np.float64(8.0)]])
+    def test_convergence_table_checks_each_n_uncoerced(self, n_list):
+        # 8.9 once ran as N = 8 and "16" as N = 16
+        with pytest.raises(ValueError, match="n_bonds must be a positive integer"):
+            convergence_table(1.0, 1.4, n_list, 30, seed=1)
+
+    @pytest.mark.parametrize("n_list", [[8, 8], [32, 8], [8, 32, 16], []])
+    def test_convergence_ladder_must_strictly_increase(self, n_list):
+        # a repeated N once wrote duplicate row names, and a falling ladder
+        # checked the gaps in the wrong direction
+        with pytest.raises(ValueError, match=f"n_list must strictly increase from N >= 2, "
+                                             rf"got \[{', '.join(map(str, n_list))}\]"):
+            convergence_table(1.0, 1.4, n_list, 30, seed=1)
 
     def test_convergence_gaps_shrink_toward_the_continuum(self):
         reports = convergence_table(1.0, math.sqrt(2), [100, 400, 1600], 50, seed=19,

@@ -145,6 +145,12 @@ class TestStepKp:
                 _one_step_frame(ell_p, 0.1, 0.1)
 
 
+    @pytest.mark.parametrize("shape", [(2, 5, 3), (2, 5, 1)])
+    def test_increments_must_come_in_pairs(self, shape):
+        with pytest.raises(ValueError, match=r"dbeta must have shape \(C, n_steps, 2\)"):
+            _kp_scan(1.0, 0.1, np.zeros(shape))
+
+
 class TestSimulateKp:
     def test_zero_driver_gives_straight_rod(self):
         cfg = KpConfig(1.0, 1.0, 50)
@@ -256,6 +262,13 @@ class TestDistribution:
 
 
 class TestSerialization:
+    @pytest.mark.parametrize("lengths", [(3, 2, 3), (3, 3, 4), (2, 3, 3)])
+    def test_path_lengths_must_agree(self, lengths):
+        n_grid, n_tangents, n_positions = lengths
+        with pytest.raises(ValueError, match="grid, tangents and positions lengths disagree"):
+            PathSample(grid=np.zeros(n_grid), tangents=np.zeros((n_tangents, 3)),
+                       positions=np.zeros((n_positions, 3)))
+
     def test_csv_header_and_first_row(self):
         cfg = KpConfig(1.0, 1.0, 20)
         path = simulate_kp(cfg, path_rng(3, 0))
