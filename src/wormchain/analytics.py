@@ -25,8 +25,7 @@ __all__ = [
 # ~4 digits to cancellation; switch to its series in t/ell_p.
 _MSD_SERIES_CUTOFF = 1e-4
 
-_MAX_COUNT = 1 << 58  # steps; past it a path's (n + 1, 3) float64 arrays exceed 2**63 bytes
-
+_MAX_COUNT = 1 << 58  # past it a path's (n + 1, 3) float64 arrays exceed 2**63 bytes
 
 def _check_positive(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0.0):
@@ -43,8 +42,11 @@ def _is_int(value) -> bool:
 
 
 def _check_size(cause: str, count: float) -> float:
+    """``count`` if at most 2**58; ``cause`` names it or what asks for its steps."""
     if count > _MAX_COUNT:
         from decimal import Decimal  # formats any int; imported only to reject one
+        if cause in ("n_paths", "grid_points"):
+            raise ValueError(f"{cause} must be at most 2**58, got {Decimal(count):.3e}")
         raise ValueError(f"{cause} asks for {Decimal(count):.3e} steps; a path holds at most 2**58")
     return count
 

@@ -182,8 +182,10 @@ def _frc_scan(cfg: FrcConfig, phis: np.ndarray, *, keep_beads: bool = False,
                  for m in position_marks}
     beads_all = None
     if keep_beads:
-        beads_all = np.concatenate(
-            [np.zeros((paths, 1, 3)), first_bond + rec["positions_all"]], axis=1)
+        # bead m >= 1 is a e3 + state m - 1; the bond directions go unread
+        del rec["tangents_all"]
+        beads_all = np.zeros((paths, n + 1, 3))
+        np.add(first_bond, rec.pop("positions_all"), out=beads_all[:, 1:])
     return {"tangents": tangents, "positions": positions, "beads_all": beads_all}
 
 

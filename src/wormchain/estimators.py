@@ -9,6 +9,7 @@ oracle through a z-score.
 """
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import numbers
@@ -281,13 +282,14 @@ def _ensemble_chunk(model, observables, seed, start, stop) -> EnsembleSummary:
         model, seed, observables, _chunk_values(model, observables, seed, start, stop))
 
 
-def _chunk_ranges(model, n_paths: int) -> list[tuple[int, int]]:
-    if isinstance(model, FrcConfig):
-        per_path = max(1, model.n_bonds - 1)
-    else:
-        per_path = 2 * model.n_steps
-    size = max(1, min(n_paths, _MAX_CHUNK_PATHS, _CHUNK_BUDGET // per_path))
-    return [(start, min(start + size, n_paths)) for start in range(0, n_paths, size)]
+def _in_order(pool, calls, ahead: int):
+    """``_ensemble_chunk`` of each of ``calls`` on ``pool``, in order, at most ``ahead`` pending."""
+    pending = collections.deque()
+    for args in calls:
+        pending.append(pool.submit(_ensemble_chunk, *args))
+        if len(pending) >= ahead:
+            yield pending.popleft().result()
+    yield from (part.result() for part in pending)
 
 
 # A z-tested row divides by the sample stderr of its n_paths values.  Below
@@ -331,17 +333,18 @@ def run_ensemble(model, n_paths: int, observables, seed: int, *,
     if isinstance(model, FrcConfig) and any(obs.kind == "sup_rod_dev" for obs in observables):
         raise ValueError("observable kind 'sup_rod_dev' is not valid for FrcConfig")
 
-    starts, stops = zip(*_chunk_ranges(model, n_paths))
-    chunks = ([model] * len(starts), [observables] * len(starts), [seed] * len(starts),
-              starts, stops)
-    if workers and workers > 1 and len(starts) > 1:
-        # a fork start method forks every worker at the first submit
-        with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
-            parts = list(pool.map(_ensemble_chunk, *chunks))
-    else:
-        parts = list(map(_ensemble_chunk, *chunks))
-
-    return functools.reduce(EnsembleSummary.merge, parts)
+    per_path = max(1, model.n_bonds - 1) if isinstance(model, FrcConfig) else 2 * model.n_steps
+    starts = range(0, n_paths, max(1, min(n_paths, _MAX_CHUNK_PATHS, _CHUNK_BUDGET // per_path)))
+    # chunks are made as they run, and reduced one at a time in chunk order
+    calls = ((model, observables, seed, start, min(start + starts.step, n_paths))
+             for start in starts)
+    if not (workers and workers > 1 and len(starts) > 1):
+        return functools.reduce(EnsembleSummary.merge, (_ensemble_chunk(*a) for a in calls))
+    # a fork start method forks every worker at the first submit; each
+    # worker has at most two chunks pending
+    workers = min(workers, len(starts))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return functools.reduce(EnsembleSummary.merge, _in_order(pool, calls, 2 * workers))
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,13 @@ Segment plan: a batch of C paths of n steps is cut into B time segments of
 segments are scanned at once, each from the identity frame, so one numpy
 call advances C*B frames; the segments are then stitched in order
 (``S_b = S_{b-1} E_{b-1}``, ``P_b = P_{b-1} + R(S_{b-1}) r_{b-1}``).  One
-record holds the local tangent (and position) after each marked step, or
-every step for a full path; one map, ``P_b + R(S_b) local``, takes it to
-global coordinates, so a full path is the marks on every state, bit for
-bit.  The sup deviation from the rod needs global positions at every step;
-with more than one segment it comes from a second scan started at the
-stitched ``(S_b, P_b)``.  The plan depends on (C, n) alone, so results do
+record holds each state that is read, once: a slot per mark, filled by the
+one segment that holds it, or a full path, written straight into its output.
+One map, ``P_b + R(S_b) local``, takes the record to global coordinates in
+place, so a full path is the marks on every state, bit for bit.  The sup
+deviation from the rod needs global positions at every step; with more than
+one segment it comes from a second scan started at the stitched
+``(S_b, P_b)``.  The plan depends on (C, n) alone, so results do
 not depend on how paths are spread over workers.
 
 A scan integrates the curve only when something reads a position (a
@@ -32,6 +33,7 @@ way the tangents are the same bits.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 
@@ -84,8 +86,12 @@ def quat_matrix(q) -> np.ndarray:
 
 
 def _rotate(q, v):
-    """Rotate vectors ``v`` ``(3, ...)`` by unit quaternions ``q`` ``(4, ...)``."""
-    return np.einsum("...ij,j...->i...", quat_matrix(q), v)
+    """Rotate vectors ``v`` ``(3, ...)`` by unit quaternions ``q`` ``(4, ...)``,
+    each component summed in one fixed order, ``((0 + m_i0 v_0) + m_i1 v_1) +
+    m_i2 v_2``, so that the bits do not depend on how ``v`` is laid out."""
+    m = quat_matrix(q)
+    return np.array([0.0 + m[..., i, 0] * v[0] + m[..., i, 1] * v[1] + m[..., i, 2] * v[2]
+                     for i in range(3)])
 
 
 def segment_plan(paths: int, n_steps: int) -> tuple[int, int]:
@@ -119,62 +125,73 @@ def frame_scan(step, paths: int, n_steps: int, *, weights: tuple[float, float],
     ``(C, 3, 3)`` ``final_frame`` and, with ``keep_path``, every state's
     ``tangents_all`` and ``positions_all``, ``(C, n+1, 3)``.  The time
     segments follow :func:`segment_plan`; the curve is integrated only if
-    ``position_marks``, ``rod_step`` or ``keep_path`` asks for it.  Marks and
-    full paths read one record through one map: a full path is the marks on
-    every state, bit for bit.
+    ``position_marks``, ``rod_step`` or ``keep_path`` asks for it.  One record
+    holds each state that is read, once: the marks' own states, or with
+    ``keep_path`` the full path, whose marks are then read from it.
     """
     n = int(n_steps)
     segments, span = segment_plan(paths, n)
+    tail = n - (segments - 1) * span
     tangent_marks, position_marks = (sorted({int(k) for k in m})
                                      for m in (tangent_marks, position_marks))
     for k in tangent_marks + position_marks:
         if not 0 <= k <= n:
             raise ValueError(f"grid mark {k} outside 0..{n}")
     curve = bool(position_marks) or rod_step is not None or keep_path
-    scan = functools.partial(_scan_segments, step, n, span, n - (segments - 1) * span, weights,
-                             curve)
+    scan = functools.partial(_scan_segments, step, n, span, tail, weights, curve)
+    first = ((0.0, 0.0, 1.0), (0.0, 0.0, 0.0))[:1 + curve]
 
-    # the in-segment steps whose states are recorded: all with keep_path,
-    # else those that carry a mark (state k >= 1 is step (k - 1) % span)
-    record = np.full(span, keep_path)
-    record[[(k - 1) % span for k in tangent_marks + position_marks if k]] = True
-    # the rod deviation needs global positions at every step; a lone
-    # segment starts at the global origin, so its local values are global
-    single = segments == 1
-    shape = (paths, segments)
-    end_q, end_r, states, sup_sq = scan(_identity(shape), np.zeros((3,) + shape), record,
-                                        rod_step if single else None)
+    # the record (3, C, slots) of local tangents and, with the curve,
+    # positions: a slot per recorded state k >= 1, in-segment step (k - 1) %
+    # span of segment (k - 1) // span; hits[j] = (slots, their segments)
+    if keep_path:  # slot k - 1 is row k of the (C, n + 1, 3) output
+        full = [np.tile(state, (paths, n + 1, 1)) for state in first]
+        states = range(1, n + 1)
+        record = [np.moveaxis(path[:, 1:], -1, 0) for path in full]
+        hits = {j: (slice(j, n, span), slice(segments - (j >= tail))) for j in range(span)}
+    else:
+        states = sorted({k for k in tangent_marks + position_marks if k})
+        record = [np.empty((3, paths, len(states))) for _ in first]
+        steps = np.array(states, dtype=np.int64) - 1
+        hits = {j: (np.flatnonzero(steps % span == j), steps[steps % span == j] // span)
+                for j in set((steps % span).tolist())}
+    # each segment starts at the identity and the origin.  The rod deviation
+    # needs global positions at every step; a lone segment starts at the
+    # global origin, so its local values are global.
+    starts_q = np.zeros((4, paths, segments + 1))
+    starts_q[0] = 1.0
+    starts_r = np.zeros((3, paths, segments + 1))
+    end_q, end_r, sup_sq = scan(starts_q[:, :, :segments], starts_r[:, :, :segments], record,
+                                hits, rod_step if segments == 1 else None)
 
     # stitch: S_0 = 1, S_{b+1} = S_b E_b, P_{b+1} = P_b + R(S_b) r_end_b.  Each
     # S_b is renormalized: the rounding of constant-angle steps is biased,
     # so without it the norm drifts linearly over the segments.
-    starts_q = _identity((paths, segments + 1))
-    starts_r = np.zeros((3, paths, segments + 1))
     for b in range(segments):
         starts_q[:, :, b + 1] = _qnormalize(_qmul(starts_q[:, :, b], end_q[:, :, b]))
         if curve:
             starts_r[:, :, b + 1] = starts_r[:, :, b] + _rotate(starts_q[:, :, b], end_r[:, :, b])
-    if rod_step is not None and not single:
+    if rod_step is not None and segments > 1:
         # rescan each segment from its stitched start
-        sup_sq = scan(starts_q[:, :, :segments], starts_r[:, :, :segments],
-                      np.zeros(span, bool), rod_step)[-1]
+        sup_sq = scan(starts_q[:, :, :segments], starts_r[:, :, :segments], [], {},
+                      rod_step)[-1]
 
-    # the one map of recorded (3, C, B, tangent/position, slot) local states
-    # to global ones: t = R(S_b) t_local, r = P_b + R(S_b) r_local
-    glob = _rotate(starts_q[:, :, :segments, None, None], states)
-    values = {"tangents": glob[:, :, :, 0]}
-    if curve:
-        values["positions"] = starts_r[:, :, :segments, None] + glob[:, :, :, 1]
-    slot = np.cumsum(record) - 1
-    out: dict = {}
-    for key, marks, first in (("tangents", tangent_marks, (0.0, 0.0, 1.0)),
-                              ("positions", position_marks, (0.0, 0.0, 0.0))):
-        out[key] = {k: (values[key][:, :, (k - 1) // span, slot[(k - 1) % span]].T if k
-                        else np.tile(first, (paths, 1))) for k in marks}
-        if keep_path:
-            # (3, C, B, L) to (C, B*L, 3), where global state k sits at k - 1
-            flat = np.moveaxis(values[key], 0, -1).reshape(paths, segments * span, 3)[:, :n]
-            out[key + "_all"] = np.concatenate([np.tile(first, (paths, 1, 1)), flat], axis=1)
+    # the one map, in place, of local states to global ones, 4096 // C slots
+    # at a time: t = R(S_b) t_local and r = P_b + R(S_b) r_local
+    width = max(1, MAX_SCAN_WIDTH // max(1, paths))
+    for lo in range(0, len(states), width):
+        segs = (np.array(states[lo:lo + width]) - 1) // span
+        for i, local in enumerate(record):
+            block = local[:, :, lo:lo + width]
+            block[...] = _rotate(starts_q[:, :, segs], block)
+            if i:
+                block += starts_r[:, :, segs]
+    out: dict = {key: {k: record[i][:, :, bisect.bisect_left(states, k)].T if k
+                       else np.tile(first[i], (paths, 1)) for k in marks}
+                 for i, (key, marks) in enumerate((("tangents", tangent_marks),
+                                                   ("positions", position_marks)))}
+    if keep_path:
+        out["tangents_all"], out["positions_all"] = full
     if rod_step is not None:
         out["sup_rod_dev"] = np.sqrt(np.max(sup_sq, axis=1))
     if want_final_frame:
@@ -182,35 +199,27 @@ def frame_scan(step, paths: int, n_steps: int, *, weights: tuple[float, float],
     return out
 
 
-def _identity(shape):
-    q = np.zeros((4,) + tuple(shape))
-    q[0] = 1.0
-    return q
-
-
-def _scan_segments(step, n, span, tail, weights, curve, q0, r0, record, rod_step):
+def _scan_segments(step, n, span, tail, weights, curve, q0, r0, record, hits, rod_step):
     """The per-step loop of :func:`frame_scan`: scan C x B segments side by
     side from their start frames ``q0`` and positions ``r0``, each over
     ``span`` steps (``tail`` real ones in the last segment).
 
-    Returns the end frames and positions, the local states and the squared
-    rod deviation's running maximum (with ``rod_step``).  The states are
-    ``(3, C, B, 1 + curve, slots)``: the tangent and, with ``curve``, the
-    position after each step ``j`` with ``record[j]`` set, in step order.
-    Without ``curve`` the end positions are None.
+    After in-segment step ``j`` with ``hits[j] = (slots, segments)``, the
+    listed segments' local tangents fill those slots of ``record[0]``
+    ``(3, C, slots)`` and, with ``curve``, their positions those of
+    ``record[1]``.  Returns the end frames and positions (None without
+    ``curve``) and, with ``rod_step``, the squared rod deviation's maximum.
     """
     w, x, y, z = (np.array(c) for c in q0)
     paths, segments = w.shape
     pw, px, py = np.empty((3, paths, segments))
+    rx, ry, rz = (np.array(c) for c in r0)
     if curve:
-        rx, ry, rz = (np.array(c) for c in r0)
         tx, ty, tz = _third_column(w, x, y, z)
     base = np.arange(segments) * span
     c_old, c_new = (float(c) for c in weights)
-    states = np.empty((3, paths, segments, 1 + curve, int(np.count_nonzero(record))))
     sup_sq = None if rod_step is None else np.zeros((paths, segments))
-    slot = 0
-    for j, recorded in enumerate(record.tolist()):
+    for j in range(span):
         idx = np.minimum(base + j, n - 1)
         step(idx, pw, px, py)
         ragged = j >= tail
@@ -221,6 +230,7 @@ def _scan_segments(step, n, span, tail, weights, curve, q0, r0, record, rod_step
             py[:, -1] = 0.0
         w, x, y, z = (w * pw - x * px - y * py, w * px + x * pw - z * py,
                       w * py + y * pw + z * px, z * pw + x * py - y * px)
+        at = hits.get(j)
         if curve:
             ux, uy, uz = _third_column(w, x, y, z)
             dx, dy, dz = c_new * ux, c_new * uy, c_new * uz
@@ -234,13 +244,12 @@ def _scan_segments(step, n, span, tail, weights, curve, q0, r0, record, rod_step
             ry += dy
             rz += dz
             tx, ty, tz = ux, uy, uz
-        elif recorded:
+        elif at is not None:
             tx, ty, tz = _third_column(w, x, y, z)
-        if recorded:
-            states[:, :, :, 0, slot] = tx, ty, tz
-            if curve:
-                states[:, :, :, 1, slot] = rx, ry, rz
-            slot += 1
+        if at is not None:
+            slots, segs = at
+            for target, (vx, vy, vz) in zip(record, ((tx, ty, tz), (rx, ry, rz))):
+                target[:, :, slots] = vx[:, segs], vy[:, segs], vz[:, segs]
         if rod_step is not None:
             dev = rz - (idx + 1) * rod_step
             dev *= dev
@@ -248,7 +257,7 @@ def _scan_segments(step, n, span, tail, weights, curve, q0, r0, record, rod_step
             dev += ry * ry
             np.maximum(sup_sq, dev, out=sup_sq)
     end_r = np.array([rx, ry, rz]) if curve else None
-    return np.array([w, x, y, z]), end_r, states, sup_sq
+    return np.array([w, x, y, z]), end_r, sup_sq
 
 
 def _third_column(w, x, y, z):

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,6 +128,18 @@ class TestSampleFrc:
         assert np.max(np.abs(lengths - 1.0)) <= 1e-12
         cos_angles = np.sum(bonds[:-1] * bonds[1:], axis=1)
         assert np.max(np.abs(cos_angles - math.cos(1.0))) <= 1e-10
+
+    def test_long_chain_holds_its_curve_once(self):
+        # torsions, one scan record and the beads: 10^5 bonds once peaked at
+        # 16.8 MiB, with the curve held several times over
+        cfg = FrcConfig.raw(100_000, 1.0, 1.0)
+        tracemalloc.start()
+        try:
+            sample_frc(cfg, path_rng(3, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
     def test_matches_rotation_product_reference(self):
         # independent per-bond reference: one Rodrigues matrix per joint

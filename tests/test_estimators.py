@@ -1,6 +1,8 @@
 import io
 import math
 import re
+import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -156,13 +158,21 @@ class TestRunEnsemble:
 
     def test_pool_is_no_wider_than_the_chunk_count(self, monkeypatch):
         # a fork start method forks every worker at the first submit, so an
-        # uncapped pool would fork idle processes; this pool starts none
+        # uncapped pool would fork idle processes; this pool starts none.
+        # Chunks are reduced in order as they arrive, so at most two per
+        # worker are pending.
         monkeypatch.setattr(est, "_CHUNK_BUDGET", 2 * 16 * 7)  # 40 paths in 6 chunks
-        widths = []
+        widths, peaks, pending = [], [], [0]
+
+        class Done(Future):
+            def result(self, timeout=None):
+                pending[0] -= 1
+                return super().result(timeout)
 
         class SerialPool:
             def __init__(self, max_workers):
                 widths.append(max_workers)
+                peaks.append(0)
 
             def __enter__(self):
                 return self
@@ -170,17 +180,40 @@ class TestRunEnsemble:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
+            def submit(self, fn, *args):
+                pending[0] += 1
+                peaks[-1] = max(peaks[-1], pending[0])
+                done = Done()
+                done.set_result(fn(*args))
+                return done
 
         monkeypatch.setattr(est, "ProcessPoolExecutor", SerialPool)
         cfg = KpConfig(1.0, 1.0, 16)
         obs = (tangent_dot_observable(cfg, 0.0, 1.0),)
         serial = run_ensemble(cfg, 40, obs, seed=12, workers=1)
-        for workers in (5000, 3):
+        for workers in (5000, 3, 2):
             pooled = run_ensemble(cfg, 40, obs, seed=12, workers=workers)
             assert np.array_equal(pooled.means, serial.means)
-        assert widths == [6, 3]
+            assert np.array_equal(pooled.m2s, serial.m2s)
+        assert widths == [6, 3, 2]
+        assert peaks == [6, 6, 4] and pending == [0]
+
+    def test_chunks_are_not_listed_before_they_run(self, monkeypatch):
+        # 2**32 paths are 2**20 chunks; listing every range before the first
+        # chunk ran once took 137 MB and 4.4 s
+        def first_chunk_fails(*args):
+            raise RuntimeError("first chunk ran")
+
+        monkeypatch.setattr(est, "_ensemble_chunk", first_chunk_fails)
+        cfg = KpConfig(1.0, 1.0, 8)
+        tracemalloc.start()
+        try:
+            with pytest.raises(RuntimeError, match="first chunk ran"):
+                run_ensemble(cfg, 2**32, (msd_observable(cfg, 1.0),), seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
     def test_chunked_matches_single_chunk(self, monkeypatch):
         cfg = KpConfig(1.0, 1.0, 16)
@@ -586,6 +619,17 @@ class TestSuites:
             hard_rod_diagnostics(1.0e4, 1.0, 8, 0, seed=0, n_steps=50)
         with pytest.raises(ValueError, match="grid_points"):
             random_coil_diagnostics(0.01, 1.0, 8, 0, seed=0, n_steps=50)
+
+    def test_counts_name_their_bound(self):
+        # a count past 2**58 once read as "asks for ... steps" whatever it counted
+        cfg = KpConfig(1.0, 1.0, 8)
+        with pytest.raises(ValueError, match=r"^n_paths must be at most 2\*\*58, got 1\.153e\+18$"):
+            run_ensemble(cfg, 2**60, (msd_observable(cfg, 1.0),), seed=0)
+        with pytest.raises(ValueError,
+                           match=r"^grid_points must be at most 2\*\*58, got 1\.153e\+18$"):
+            hard_rod_diagnostics(1.0e4, 1.0, 30, 2**60, seed=0, n_steps=50)
+        with pytest.raises(ValueError, match=r"^n_steps asks for 1\.153e\+18 steps"):
+            KpConfig(1.0, 1.0, 2**60)
 
     @pytest.mark.parametrize("grid_points", [True, 2.5])
     def test_diagnostics_grid_points_must_be_a_count(self, grid_points):

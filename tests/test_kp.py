@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,6 +205,22 @@ class TestSimulateKp:
         b = simulate_kp(cfg, path_rng(9, 4))
         assert np.array_equal(a.positions, b.positions)
         assert np.array_equal(a.tangents, b.tangents)
+
+
+class TestRecordSize:
+    def test_marked_scan_records_its_marks_only(self):
+        # a coil-narrow chunk shape, 83 paths of 2*10^4 steps in 49 segments:
+        # 21 marks once recorded every segment at each marked step, 10.4 MB
+        dbeta = np.random.default_rng(8).normal(scale=0.01, size=(83, 20_000, 2))
+        marks = tuple(range(0, 20_001, 1000))
+        tracemalloc.start()
+        try:
+            rec = _kp_scan(1.0, 5e-5, dbeta, tangent_marks=marks, position_marks=marks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rec["tangents"]) == len(rec["positions"]) == 21
+        assert peak <= 1.5e6
 
 
 def _mean_tangent_z(ell_p, length, n_steps, n_paths, seed, at_index):

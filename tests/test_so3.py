@@ -272,6 +272,9 @@ class TestFrameScan:
         for k in marks:
             assert np.allclose(rec["tangents"][k], tangents[:, k], **tol)
             assert np.allclose(rec["positions"][k], positions[:, k], **tol)
+            # and a kept path is its own marks, bit for bit
+            assert np.array_equal(rec["tangents_all"][:, k], rec["tangents"][k])
+            assert np.array_equal(rec["positions_all"][:, k], rec["positions"][k])
 
     @pytest.mark.parametrize("paths,n,segments", [(2100, 9, 1), (3, 50, 7), (17, 997, 31)])
     def test_tangent_only_scan_keeps_the_tangent_bits(self, paths, n, segments):
