@@ -20,16 +20,23 @@ chain differs from the continuum model only in that fixed angle and uniform
 axis, and in summing bonds where the continuum integrates by the trapezoid
 rule.  Long chains are cut into time segments scanned side by side and
 stitched, as described in :mod:`wormchain.so3`.
+
+The scan reads torsions from a block ``(C, B, K)``: ``K`` in-segment steps
+of every chain and every segment.  One chain keeps its whole row, so its
+block is that row; an ensemble chunk refills its block as the scan goes,
+drawing each ``(chain, segment)`` run from its place in the chain's
+counter-based stream, so its draw memory does not grow with ``N``.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analytics import _check_count, _check_positive, _is_int
-from .so3 import frame_scan
+from .so3 import frame_scan, segment_plan
 
 __all__ = [
     "FrcConfig",
@@ -45,6 +52,10 @@ _E3 = np.array([0.0, 0.0, 1.0])
 # rows formatted per write in the CSV writer: bounds the Python floats and
 # strings alive at once, whatever the chain length
 _CSV_BLOCK_ROWS = 4096
+
+# Doubles in an ensemble chunk's torsion block (C, B, K), 32 MB; a whole
+# (C, N - 1) array of torsions reaches the chunk budget, 134 MB.
+_TORSION_BLOCK = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -113,26 +124,64 @@ class DiscreteChain:
         if phis.shape != (beads.shape[0] - 2,):
             raise ValueError(
                 f"phis must have shape (N-1,) = {(beads.shape[0] - 2,)}, got {phis.shape}")
-        beads = beads.copy()
-        phis = phis.copy()
-        beads.setflags(write=False)
-        phis.setflags(write=False)
-        object.__setattr__(self, "beads", beads)
-        object.__setattr__(self, "phis", phis)
+        self._freeze(beads.copy(), phis.copy())
+
+    @classmethod
+    def _adopt(cls, beads: np.ndarray, phis: np.ndarray) -> "DiscreteChain":
+        """The record of arrays that the caller built and holds nowhere else:
+        made read-only where they are, neither copied nor checked."""
+        chain = object.__new__(cls)
+        chain._freeze(beads, phis)
+        return chain
+
+    def _freeze(self, beads: np.ndarray, phis: np.ndarray) -> None:
+        for name, arr in (("beads", beads), ("phis", phis)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
-def _frc_steps(theta: float, phis: np.ndarray):
+@dataclass(frozen=True, eq=False)
+class _Torsions:
+    """The ``N - 1`` torsions of ``C`` chains, as the scan reads them.
+
+    ``shape`` is ``(C, N - 1)``.  ``block`` ``(C, B, K)`` holds ``K``
+    in-segment steps of each of the ``B`` segments of
+    :func:`wormchain.so3.segment_plan` ``(C, N - 1)``, segment ``b`` starting
+    at torsion ``b L``; ``draw(block, j)`` refills it with steps ``j..j + K -
+    1`` when the scan reaches step ``j``.  A block of all ``L`` steps has no
+    ``draw``.  Slots past the last torsion are never read and stay finite.
+    """
+
+    shape: tuple[int, int]
+    block: np.ndarray
+    draw: Callable[[np.ndarray, int], None] | None = None
+
+    @classmethod
+    def rows(cls, paths: int, n_phis: int) -> tuple[np.ndarray, "_Torsions"]:
+        """A zeroed block of every step, and the ``(C, N - 1)`` rows that
+        share its memory: each row padded to ``B L`` and viewed as ``(B, L)``."""
+        segments, span = segment_plan(paths, n_phis)
+        padded = np.zeros((paths, segments * span))
+        return padded[:, :n_phis], cls((paths, n_phis), padded.reshape(paths, segments, span))
+
+
+def _frc_steps(theta: float, torsions: _Torsions):
     """Step-quaternion filler for :func:`frame_scan`: the rotation by
     ``theta`` about ``(cos phi, sin phi, 0)`` is ``(cos(theta/2),
     sin(theta/2) cos phi, sin(theta/2) sin phi, 0)``.  ``cos phi`` and
     ``sin phi`` come from one ``tau = tan(phi/2)`` as ``(1 - tau^2)/(1 +
-    tau^2)`` and ``2 tau/(1 + tau^2)``."""
+    tau^2)`` and ``2 tau/(1 + tau^2)``.  Step ``j``'s ``(C, B)`` torsions are
+    one strided slice of the block, refilled every ``K`` steps."""
     cos_half = math.cos(0.5 * theta)
     sin_half = math.sin(0.5 * theta)
+    block, draw = torsions.block, torsions.draw
+    width = block.shape[2]
 
     def fill(idx, pw, px, py):
-        tau = np.take(phis, idx, axis=1)
-        tau *= 0.5
+        j = int(idx[0])  # segment 0 starts at torsion 0
+        if draw is not None and j % width == 0:
+            draw(block, j)
+        tau = np.multiply(block[:, :, j % width], 0.5)
         np.tan(tau, out=tau)
         f = tau * tau
         np.subtract(1.0, f, out=px)
@@ -146,12 +195,13 @@ def _frc_steps(theta: float, phis: np.ndarray):
     return fill
 
 
-def _frc_scan(cfg: FrcConfig, phis: np.ndarray, *, keep_beads: bool = False,
+def _frc_scan(cfg: FrcConfig, phis: np.ndarray | _Torsions, *, keep_beads: bool = False,
               tangent_marks: tuple[int, ...] = (),
               position_marks: tuple[int, ...] = ()) -> dict:
     """Run the rotation-product construction for a batch of chains.
 
-    ``phis`` has shape (C, N-1), one torsion row per chain.  Returns unit
+    ``phis`` has shape (C, N-1), one torsion row per chain: an array, which
+    is copied into a block of every step, or :class:`_Torsions`.  Returns unit
     bond directions as ``tangents`` keyed by bond number ``1..N`` and bead
     positions as ``positions`` keyed by bead number ``0..N`` (the shape of
     the continuum scan's record), and optionally the full bead arrays.
@@ -171,8 +221,12 @@ def _frc_scan(cfg: FrcConfig, phis: np.ndarray, *, keep_beads: bool = False,
     for m in position_marks:
         if not 0 <= m <= n:
             raise ValueError(f"bead mark {m} outside 0..{n}")
+    torsions = phis
+    if isinstance(phis, np.ndarray):
+        rows, torsions = _Torsions.rows(paths, n_phis)
+        rows[...] = phis
 
-    rec = frame_scan(_frc_steps(cfg.bond_angle, phis), paths, n - 1, weights=(0.0, a),
+    rec = frame_scan(_frc_steps(cfg.bond_angle, torsions), paths, n - 1, weights=(0.0, a),
                      tangent_marks=[m - 1 for m in tangent_marks],
                      position_marks=[m - 1 for m in position_marks if m >= 1],
                      keep_path=keep_beads)
@@ -204,12 +258,43 @@ def _draw_torsions(cfg: FrcConfig, rng: np.random.Generator,
     return out
 
 
+def _stream_torsions(cfg: FrcConfig, paths: int, seek) -> _Torsions:
+    """The torsions of ``C`` chains, drawn a block at a time just ahead of
+    the scan.
+
+    ``seek(i, pos)`` is chain ``i``'s stream past its first ``pos`` draws.
+    Each ``(chain, segment)`` run of a block is drawn straight into its
+    slice, so the block holds the bits of :func:`_draw_torsions`.  The
+    block holds at most ``_TORSION_BLOCK`` doubles, or one step of every
+    segment when ``C B`` is larger.
+    """
+    n_phis = cfg.n_bonds - 1
+    segments, span = segment_plan(paths, n_phis)
+    width = max(1, min(span, _TORSION_BLOCK // (paths * segments)))
+
+    def draw(block, j):
+        # each segment's run: stream position, place in a chain's row, and
+        # length (the last segment and the last block can end short)
+        runs = [(b * span + j, b * width, max(0, min(width, span - j, n_phis - b * span - j)))
+                for b in range(segments)]
+        for i, row in enumerate(block.reshape(paths, -1)):
+            for pos, at, count in runs:
+                if count:
+                    seek(i, pos).random(out=row[at:at + count])
+        for b, (_, _, count) in enumerate(runs):
+            block[:, b, count:] = 0.0
+        block *= 2.0 * math.pi
+
+    return _Torsions((paths, n_phis), np.zeros((paths, segments, width)), draw)
+
+
 def sample_frc(cfg: FrcConfig, rng: np.random.Generator) -> DiscreteChain:
     """Draw one chain from the stream ``rng``: its torsions, then the exact
     construction."""
-    phis = _draw_torsions(cfg, rng)
-    rec = _frc_scan(cfg, phis[None, :], keep_beads=True)
-    return DiscreteChain(beads=rec["beads_all"][0], phis=phis)
+    phis, torsions = _Torsions.rows(1, cfg.n_bonds - 1)
+    _draw_torsions(cfg, rng, out=phis[0])
+    rec = _frc_scan(cfg, torsions, keep_beads=True)
+    return DiscreteChain._adopt(rec["beads_all"][0], phis[0])
 
 
 def frc_bond_correlation_oracle(theta: float, k: int) -> float:

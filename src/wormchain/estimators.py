@@ -15,14 +15,13 @@ import math
 import numbers
 import warnings
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .analytics import (_check_count, _check_size, _is_int, hard_rod_fluctuation_cov,
                         kp_mean_sq_position, kp_tangent_correlation, random_coil_cov)
-from .chain import (FrcConfig, _draw_torsions, _frc_scan, frc_bond_correlation_oracle,
+from .chain import (FrcConfig, _frc_scan, _stream_torsions, frc_bond_correlation_oracle,
                     frc_msd_oracle)
 from .kp import KpConfig, _draw_increments, _kp_scan
 from .so3 import MAX_SCAN_WIDTH
@@ -55,7 +54,8 @@ _ROD_RATIO_BOUND = 0.05
 _ROD_SUP_BOUND = 0.05
 
 # Cap on per-chunk random-increment elements (doubles); keeps the largest
-# runs near 134 MB of draw memory while amortizing numpy call overhead.
+# continuum runs near 134 MB of draw memory while amortizing numpy call
+# overhead.  A chain chunk holds only its torsion block (chain._TORSION_BLOCK).
 _CHUNK_BUDGET = 1 << 24
 _MAX_CHUNK_PATHS = MAX_SCAN_WIDTH
 
@@ -177,19 +177,32 @@ def path_rng(seed: int, path_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_stream_key(seed, path_index)))
 
 
-def _path_streams(seed: int, start: int, stop: int):
-    """The streams of paths ``start..stop-1`` in turn, each drawing the bits
-    of ``path_rng(seed, i)``: one Philox is re-keyed to ``(seed, i)`` at
-    counter 0 with an empty buffer.  Building a Philox per path would read
-    OS entropy for a seed that a given key discards."""
-    bits = np.random.Philox(key=_stream_key(seed, start))
+def _path_streams(keys: np.ndarray):
+    """``seek(i, pos=0)``: one Generator with the bits of ``path_rng(*keys[i])``
+    after its first ``pos`` 64-bit draws, from the ``(C, 2)`` Philox keys.
+
+    Philox is counter-based: the one Philox is set to key ``keys[i]`` at
+    counter ``pos // 4`` with an empty buffer and drops ``pos % 4`` draws,
+    drawing nothing before ``pos``.  A Philox built per path would read OS
+    entropy for a seed that a given key discards.
+    """
+    bits = np.random.Philox(key=keys[0])
     rng = np.random.Generator(bits)
-    zeros = np.zeros(4, dtype=np.uint64)
-    for index in range(start, stop):
-        bits.state = {"bit_generator": "Philox",
-                      "state": {"counter": zeros, "key": _stream_key(seed, index)},
-                      "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        yield rng
+    rows = keys.tolist()
+    counter = [0, 0, 0, 0]
+    inner = {"counter": counter, "key": None}
+    state = {"bit_generator": "Philox", "state": inner, "buffer": [0, 0, 0, 0],
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+    def seek(i: int, pos: int = 0) -> np.random.Generator:
+        counter[0], skip = divmod(pos, 4)
+        inner["key"] = rows[i]
+        bits.state = state
+        if skip:
+            bits.random_raw(skip)
+        return rng
+
+    return seek
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,21 +270,24 @@ class EnsembleSummary:
 def _chunk_values(model, observables: tuple[Observable, ...], seed: int,
                   start: int, stop: int) -> np.ndarray:
     """Per-path values ``(observables, paths)`` of paths ``start..stop-1``,
-    each drawn from its own stream by its model's draw into its row."""
+    each drawn from its own stream, keyed by a row of the chunk's ``(C, 2)``
+    keys.  A chain's torsions are drawn a block of in-segment steps at a
+    time, just ahead of the scan, so draw memory does not grow with N; a
+    continuum path's normal increments are drawn whole into its row first,
+    since a ziggurat normal takes a variable number of draws, so a segment's
+    place in the stream is not known without drawing what comes before it."""
     paths = stop - start
     marks = {
         "tangent_marks": tuple(sorted({k for obs in observables for k in obs.tangent_marks})),
         "position_marks": tuple(sorted({k for obs in observables for k in obs.position_marks})),
     }
+    seek = _path_streams(np.array([(seed, i) for i in range(start, stop)], dtype=np.uint64))
     if isinstance(model, FrcConfig):
-        phis = np.empty((paths, model.n_bonds - 1))
-        for row, rng in zip(phis, _path_streams(seed, start, stop)):
-            _draw_torsions(model, rng, out=row)
-        rec = _frc_scan(model, phis, **marks)
+        rec = _frc_scan(model, _stream_torsions(model, paths, seek), **marks)
     else:
         dbeta = np.empty((paths, model.n_steps, 2))
-        for row, rng in zip(dbeta, _path_streams(seed, start, stop)):
-            _draw_increments(model, rng, out=row)
+        for i, row in enumerate(dbeta):
+            _draw_increments(model, seek(i), out=row)
         rec = _kp_scan(model.ell_p, model.h, dbeta, **marks,
                        track_sup_rod_dev=any(obs.kind == "sup_rod_dev" for obs in observables))
     return np.stack([obs.evaluate(rec) for obs in observables])
@@ -342,6 +358,8 @@ def run_ensemble(model, n_paths: int, observables, seed: int, *,
         return functools.reduce(EnsembleSummary.merge, (_ensemble_chunk(*a) for a in calls))
     # a fork start method forks every worker at the first submit; each
     # worker has at most two chunks pending
+    from concurrent.futures import ProcessPoolExecutor  # only a pooled run pays its import
+
     workers = min(workers, len(starts))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return functools.reduce(EnsembleSummary.merge, _in_order(pool, calls, 2 * workers))

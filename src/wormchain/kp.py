@@ -93,13 +93,25 @@ class PathSample:
     positions: np.ndarray  # (n+1, 3)
 
     def __post_init__(self) -> None:
-        for name in ("grid", "tangents", "positions"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64).copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        self._freeze(*(np.asarray(getattr(self, name), dtype=np.float64).copy()
+                       for name in ("grid", "tangents", "positions")))
         n = self.grid.shape[0]
         if self.tangents.shape != (n, 3) or self.positions.shape != (n, 3):
             raise ValueError("grid, tangents and positions lengths disagree")
+
+    @classmethod
+    def _adopt(cls, grid: np.ndarray, tangents: np.ndarray,
+               positions: np.ndarray) -> "PathSample":
+        """The record of arrays that the caller built and holds nowhere else:
+        made read-only where they are, neither copied nor checked."""
+        path = object.__new__(cls)
+        path._freeze(grid, tangents, positions)
+        return path
+
+    def _freeze(self, grid: np.ndarray, tangents: np.ndarray, positions: np.ndarray) -> None:
+        for name, arr in (("grid", grid), ("tangents", tangents), ("positions", positions)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 def _kp_steps(ell_p: float, dbeta: np.ndarray):
@@ -182,8 +194,7 @@ def simulate_kp(cfg: KpConfig, rng: np.random.Generator) -> PathSample:
     """Simulate one path on the uniform grid from the stream ``rng``."""
     rec = _kp_scan(cfg.ell_p, cfg.h, _draw_increments(cfg, rng)[None], keep_path=True)
     grid = np.arange(cfg.n_steps + 1, dtype=np.float64) * cfg.h
-    return PathSample(grid=grid, tangents=rec["tangents_all"][0],
-                      positions=rec["positions_all"][0])
+    return PathSample._adopt(grid, rec["tangents_all"][0], rec["positions_all"][0])
 
 
 def write_path_csv(path: PathSample, fileobj) -> None:

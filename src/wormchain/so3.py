@@ -24,7 +24,10 @@ place, so a full path is the marks on every state, bit for bit.  The sup
 deviation from the rod needs global positions at every step; with more than
 one segment it comes from a second scan started at the stitched
 ``(S_b, P_b)``.  The plan depends on (C, n) alone, so results do
-not depend on how paths are spread over workers.
+not depend on how paths are spread over workers.  A step filler is called
+for in-segment steps ``j = 0..L-1`` in order, so it can read its inputs from
+a block of in-segment steps of every segment, refilled as the scan goes: the
+chain's torsions are drawn that way (see :mod:`wormchain.chain`).
 
 A scan integrates the curve only when something reads a position (a
 position mark, the rod deviation or the full path); otherwise it advances
@@ -112,7 +115,9 @@ def frame_scan(step, paths: int, n_steps: int, *, weights: tuple[float, float],
     """Advance C moving frames by n right-multiplied steps, and their curves.
 
     ``step(idx, pw, px, py)`` fills the ``(C, len(idx))`` buffers with the
-    step quaternions ``(pw, px, py, 0)`` of the global step indices ``idx``.
+    step quaternions ``(pw, px, py, 0)`` of the global step indices ``idx``,
+    ``min(b L + j, n - 1)`` for each segment ``b``; each scan pass calls it
+    for ``j = 0..L-1`` in order, and ``idx[0]`` is ``j``.
     The frame starts at the identity, the curve at the origin; after step
     ``k`` the tangent ``t_k`` is the frame's third column and the position is
     ``r_k = r_{k-1} + c_old t_{k-1} + c_new t_k`` with

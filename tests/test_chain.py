@@ -7,17 +7,20 @@ import numpy as np
 import pytest
 from rodrigues import rodrigues_batch
 
+import wormchain.chain as chain_module
 from wormchain.chain import (
     DiscreteChain,
     FrcConfig,
     _draw_torsions,
     _frc_scan,
+    _stream_torsions,
     frc_bond_correlation_oracle,
     frc_msd_oracle,
     sample_frc,
     write_chain_csv,
 )
-from wormchain.estimators import path_rng
+from wormchain.estimators import _path_streams, path_rng
+from wormchain.so3 import segment_plan
 
 
 def frc_msd_direct(cfg):
@@ -173,6 +176,49 @@ class TestSampleFrc:
         assert _draw_torsions(cfg, path_rng(4, 9), out=row) is row
         assert np.array_equal(rows[0], expected) and not rows[1].any()
         assert np.array_equal(sample_frc(cfg, path_rng(4, 9)).phis, expected)
+
+
+class TestStreamTorsions:
+    """An ensemble chunk's torsion block, refilled as the scan reads it,
+    holds each chain's own draws bit for bit.  These tests call the block
+    helper ``_stream_torsions``."""
+
+    @pytest.mark.parametrize("paths, n_bonds, block", [
+        (3, 40, None),              # B = 6, L = 7: the last segment has 4 real steps
+        (323, 10_000, None),        # L = 834, so runs start inside a Philox block of 4
+        (4096, 20, None),           # a one-segment plan
+        (5, 1, None),               # no torsions
+        (5, 2, None),               # one torsion
+        (5, 1000, 5 * 31 * 10),     # blocks of 10 steps in segments of 33 (9 in the last)
+        (4096, 200, 4096 * 64),     # one segment of 199 steps in blocks of 64
+    ])
+    def test_block_holds_each_chains_draws(self, monkeypatch, paths, n_bonds, block):
+        if block is not None:
+            monkeypatch.setattr(chain_module, "_TORSION_BLOCK", block)
+        cfg = FrcConfig.raw(n_bonds, 1.0, 1.0)
+        keys = np.array([[11, 100 + i] for i in range(paths)], dtype=np.uint64)
+        torsions = _stream_torsions(cfg, paths, _path_streams(keys))
+        assert torsions.shape == (paths, n_bonds - 1)
+        segments, span = segment_plan(paths, n_bonds - 1)
+        width = torsions.block.shape[2]
+        if block is not None:
+            assert width < span
+        # read the block as the scan does: step j of every segment at j % K
+        seen = np.empty((paths, segments, span))
+        for j in range(span):
+            if j % width == 0:
+                torsions.draw(torsions.block, j)
+                assert np.isfinite(torsions.block).all()
+            seen[:, :, j] = torsions.block[:, :, j % width]
+        rows = seen.reshape(paths, -1)[:, :n_bonds - 1]
+        for i in range(paths):
+            assert np.array_equal(rows[i], _draw_torsions(cfg, path_rng(11, 100 + i)))
+        # and the scan of a fresh block gives the scan of the whole rows
+        fresh = _stream_torsions(cfg, paths, _path_streams(keys))
+        marks = {"tangent_marks": (n_bonds,), "position_marks": (n_bonds,)}
+        got, want = _frc_scan(cfg, fresh, **marks), _frc_scan(cfg, rows, **marks)
+        assert np.array_equal(got["tangents"][n_bonds], want["tangents"][n_bonds])
+        assert np.array_equal(got["positions"][n_bonds], want["positions"][n_bonds])
 
 
 class TestBondCorrelationOracle:

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -779,3 +781,14 @@ class TestVerifyAllDispatch:
         for suite in ("correlation", "msd", "converge", "hard-rod", "random-coil"):
             assert (tmp_path / f"report-{suite}.csv").exists()
             assert (tmp_path / f"report-{suite}.json").exists()
+
+
+class TestImports:
+    def test_cli_does_not_import_the_process_pool(self):
+        # concurrent.futures and multiprocessing cost about 27 ms of every
+        # fresh process; only a pooled ensemble run imports them
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        code = "import sys, wormchain.cli; print('concurrent.futures' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+        assert done.stdout.strip() == "False"

@@ -1,3 +1,4 @@
+import concurrent.futures
 import io
 import math
 import re
@@ -187,7 +188,8 @@ class TestRunEnsemble:
                 done.set_result(fn(*args))
                 return done
 
-        monkeypatch.setattr(est, "ProcessPoolExecutor", SerialPool)
+        # run_ensemble imports the pool where it makes one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         cfg = KpConfig(1.0, 1.0, 16)
         obs = (tangent_dot_observable(cfg, 0.0, 1.0),)
         serial = run_ensemble(cfg, 40, obs, seed=12, workers=1)
@@ -214,6 +216,19 @@ class TestRunEnsemble:
         finally:
             tracemalloc.stop()
         assert peak < 5e6
+
+    def test_chain_chunk_draws_its_torsions_a_block_at_a_time(self):
+        # the largest chain chunk, 1677 chains of 9999 torsions, once held
+        # all its torsions at once: 134 MB
+        cfg = FrcConfig.scaled(10_000, 1.0, math.sqrt(2.0))
+        obs = (Observable("end", "path_msd", (10_000,)),)
+        tracemalloc.start()
+        try:
+            est._chunk_values(cfg, obs, 5, 0, 1677)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48e6
 
     def test_chunked_matches_single_chunk(self, monkeypatch):
         cfg = KpConfig(1.0, 1.0, 16)
