@@ -264,7 +264,8 @@ def _stream_torsions(cfg: FrcConfig, paths: int, seek) -> _Torsions:
 
     ``seek(i, pos)`` is chain ``i``'s stream past its first ``pos`` draws.
     Each ``(chain, segment)`` run of a block is drawn straight into its
-    slice, so the block holds the bits of :func:`_draw_torsions`.  The
+    slice, or a chain's whole row in one call when the block holds every
+    step, so the block holds the bits of :func:`_draw_torsions`.  The
     block holds at most ``_TORSION_BLOCK`` doubles, or one step of every
     segment when ``C B`` is larger.
     """
@@ -273,15 +274,18 @@ def _stream_torsions(cfg: FrcConfig, paths: int, seek) -> _Torsions:
     width = max(1, min(span, _TORSION_BLOCK // (paths * segments)))
 
     def draw(block, j):
-        # each segment's run: stream position, place in a chain's row, and
-        # length (the last segment and the last block can end short)
-        runs = [(b * span + j, b * width, max(0, min(width, span - j, n_phis - b * span - j)))
-                for b in range(segments)]
+        # the steps of each segment in this block: the last segment and the
+        # last block can end short
+        counts = [max(0, min(width, span - j, n_phis - b * span - j)) for b in range(segments)]
+        # runs (stream position, place in a chain's row, length): one per
+        # segment, or a chain's whole row when the block holds every step,
+        # since the row is then in stream order
+        runs = ([(0, 0, n_phis)] if width == span else
+                [(b * span + j, b * width, count) for b, count in enumerate(counts) if count])
         for i, row in enumerate(block.reshape(paths, -1)):
             for pos, at, count in runs:
-                if count:
-                    seek(i, pos).random(out=row[at:at + count])
-        for b, (_, _, count) in enumerate(runs):
+                seek(i, pos).random(out=row[at:at + count])
+        for b, count in enumerate(counts):
             block[:, b, count:] = 0.0
         block *= 2.0 * math.pi
 
