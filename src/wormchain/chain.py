@@ -53,9 +53,10 @@ _E3 = np.array([0.0, 0.0, 1.0])
 # strings alive at once, whatever the chain length
 _CSV_BLOCK_ROWS = 4096
 
-# Doubles in an ensemble chunk's torsion block (C, B, K), 32 MB; a whole
-# (C, N - 1) array of torsions reaches the chunk budget, 134 MB.
-_TORSION_BLOCK = 1 << 22
+# Doubles in an ensemble chunk's torsion block (C, B, K), 16 MB; a whole
+# (C, N - 1) array of torsions reaches the chunk budget, 134 MB.  At 1 << 20
+# the Python time of the extra (chain, segment) runs outweighs the saving.
+_TORSION_BLOCK = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -204,7 +205,8 @@ def _frc_scan(cfg: FrcConfig, phis: np.ndarray | _Torsions, *, keep_beads: bool 
     is copied into a block of every step, or :class:`_Torsions`.  Returns unit
     bond directions as ``tangents`` keyed by bond number ``1..N`` and bead
     positions as ``positions`` keyed by bead number ``0..N`` (the shape of
-    the continuum scan's record), and optionally the full bead arrays.
+    the continuum scan's record), and optionally the full bead arrays, whose
+    scan keeps no bond directions, so then takes no tangent marks.
 
     Bond ``m`` is the frame's tangent after ``m - 1`` torsion steps of
     :func:`wormchain.so3.frame_scan`, and bead ``m >= 1`` is ``a e3`` (the
@@ -229,15 +231,14 @@ def _frc_scan(cfg: FrcConfig, phis: np.ndarray | _Torsions, *, keep_beads: bool 
     rec = frame_scan(_frc_steps(cfg.bond_angle, torsions), paths, n - 1, weights=(0.0, a),
                      tangent_marks=[m - 1 for m in tangent_marks],
                      position_marks=[m - 1 for m in position_marks if m >= 1],
-                     keep_path=keep_beads)
+                     keep_path="positions" if keep_beads else False)
     first_bond = a * _E3
     tangents = {m: rec["tangents"][m - 1] for m in tangent_marks}
     positions = {m: first_bond + rec["positions"][m - 1] if m else np.zeros((paths, 3))
                  for m in position_marks}
     beads_all = None
     if keep_beads:
-        # bead m >= 1 is a e3 + state m - 1; the bond directions go unread
-        del rec["tangents_all"]
+        # bead m >= 1 is a e3 + state m - 1
         beads_all = np.zeros((paths, n + 1, 3))
         np.add(first_bond, rec.pop("positions_all"), out=beads_all[:, 1:])
     return {"tangents": tangents, "positions": positions, "beads_all": beads_all}
@@ -262,34 +263,39 @@ def _stream_torsions(cfg: FrcConfig, paths: int, seek) -> _Torsions:
     """The torsions of ``C`` chains, drawn a block at a time just ahead of
     the scan.
 
-    ``seek(i, pos)`` is chain ``i``'s stream past its first ``pos`` draws.
-    Each ``(chain, segment)`` run of a block is drawn straight into its
-    slice, or a chain's whole row in one call when the block holds every
-    step, so the block holds the bits of :func:`_draw_torsions`.  The
-    block holds at most ``_TORSION_BLOCK`` doubles, or one step of every
-    segment when ``C B`` is larger.
+    ``seek(i, pos)`` is chain ``i``'s stream past its first ``pos`` draws, a
+    multiple of 4.  Each ``(chain, segment)`` run of a block, or a chain's
+    whole row when the block holds every step, is drawn from ``pos - pos %
+    4``, its lead-in landing in the slots just ahead of its slice.  Runs are
+    drawn last chain to first and last segment to first, so a lead-in lands
+    in a 3-double pad in front of the block, in slots drawn later or in
+    slots past the last torsion: the block holds the bits of
+    :func:`_draw_torsions`.  The block holds at most ``_TORSION_BLOCK``
+    doubles, or one step of every segment when ``C B`` is larger.
     """
     n_phis = cfg.n_bonds - 1
     segments, span = segment_plan(paths, n_phis)
     width = max(1, min(span, _TORSION_BLOCK // (paths * segments)))
+    row = segments * width
+    flat = np.zeros(3 + paths * row)
 
     def draw(block, j):
-        # the steps of each segment in this block: the last segment and the
-        # last block can end short
-        counts = [max(0, min(width, span - j, n_phis - b * span - j)) for b in range(segments)]
         # runs (stream position, place in a chain's row, length): one per
-        # segment, or a chain's whole row when the block holds every step,
-        # since the row is then in stream order
+        # segment, where the last segment and the last block can end short,
+        # or a chain's whole row when the block holds every step, since the
+        # row is then in stream order
         runs = ([(0, 0, n_phis)] if width == span else
-                [(b * span + j, b * width, count) for b, count in enumerate(counts) if count])
-        for i, row in enumerate(block.reshape(paths, -1)):
-            for pos, at, count in runs:
-                seek(i, pos).random(out=row[at:at + count])
-        for b, count in enumerate(counts):
-            block[:, b, count:] = 0.0
+                [(b * span + j, b * width, min(width, span - j, n_phis - b * span - j))
+                 for b in range(segments)])
+        # in drawing order, each from its lead-in on: (position, slice of flat)
+        runs = [(pos - pos % 4, 3 + at - pos % 4, 3 + at + count)
+                for pos, at, count in reversed(runs) if count > 0]
+        for i in range(paths - 1, -1, -1):
+            for pos, lo, hi in runs:
+                seek(i, pos).random(out=flat[i * row + lo:i * row + hi])
         block *= 2.0 * math.pi
 
-    return _Torsions((paths, n_phis), np.zeros((paths, segments, width)), draw)
+    return _Torsions((paths, n_phis), flat[3:].reshape(paths, segments, width), draw)
 
 
 def sample_frc(cfg: FrcConfig, rng: np.random.Generator) -> DiscreteChain:

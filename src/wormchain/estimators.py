@@ -182,9 +182,9 @@ def _path_streams(keys: np.ndarray):
     after its first ``pos`` 64-bit draws, from the ``(C, 2)`` Philox keys.
 
     Philox is counter-based: the one Philox is set to key ``keys[i]`` at
-    counter ``pos // 4`` with an empty buffer and drops ``pos % 4`` draws,
-    drawing nothing before ``pos``.  A Philox built per path would read OS
-    entropy for a seed that a given key discards.
+    counter ``pos // 4``, ``pos`` a multiple of 4, with an empty buffer,
+    drawing nothing.  A Philox built per path would read OS entropy for a
+    seed that a given key discards.
     """
     bits = np.random.Philox(key=keys[0])
     rng = np.random.Generator(bits)
@@ -196,10 +196,10 @@ def _path_streams(keys: np.ndarray):
 
     def seek(i: int, pos: int = 0) -> np.random.Generator:
         counter[0], skip = divmod(pos, 4)
+        if skip:
+            raise ValueError(f"stream position {pos} is not a multiple of 4")
         inner["key"] = rows[i]
         bits.state = state
-        if skip:
-            bits.random_raw(skip)
         return rng
 
     return seek

@@ -111,7 +111,7 @@ def segment_plan(paths: int, n_steps: int) -> tuple[int, int]:
 
 def frame_scan(step, paths: int, n_steps: int, *, weights: tuple[float, float],
                tangent_marks=(), position_marks=(), rod_step: float | None = None,
-               want_final_frame: bool = False, keep_path: bool = False) -> dict:
+               want_final_frame: bool = False, keep_path: bool | str = False) -> dict:
     """Advance C moving frames by n right-multiplied steps, and their curves.
 
     ``step(idx, pw, px, py)`` fills the ``(C, len(idx))`` buffers with the
@@ -128,11 +128,12 @@ def frame_scan(step, paths: int, n_steps: int, *, weights: tuple[float, float],
     ``(C, 3)`` arrays; with ``rod_step`` set,
     ``sup_rod_dev = sup_k |r_k - k*rod_step*e3|``; optionally the
     ``(C, 3, 3)`` ``final_frame`` and, with ``keep_path``, every state's
-    ``tangents_all`` and ``positions_all``, ``(C, n+1, 3)``.  The time
-    segments follow :func:`segment_plan`; the curve is integrated only if
-    ``position_marks``, ``rod_step`` or ``keep_path`` asks for it.  One record
-    holds each state that is read, once: the marks' own states, or with
-    ``keep_path`` the full path, whose marks are then read from it.
+    ``tangents_all`` and ``positions_all``, ``(C, n+1, 3)``, or only
+    ``positions_all`` if it is ``"positions"``.  The time segments follow
+    :func:`segment_plan`; the curve is integrated only if ``position_marks``,
+    ``rod_step`` or ``keep_path`` asks for it.  One record holds each state
+    that is read, once: the marks' own states, or with ``keep_path`` the full
+    path, whose marks are then read from it.
     """
     n = int(n_steps)
     segments, span = segment_plan(paths, n)
@@ -142,21 +143,24 @@ def frame_scan(step, paths: int, n_steps: int, *, weights: tuple[float, float],
     for k in tangent_marks + position_marks:
         if not 0 <= k <= n:
             raise ValueError(f"grid mark {k} outside 0..{n}")
-    curve = bool(position_marks) or rod_step is not None or keep_path
+    curve = bool(position_marks or keep_path) or rod_step is not None
     scan = functools.partial(_scan_segments, step, n, span, tail, weights, curve)
     first = ((0.0, 0.0, 1.0), (0.0, 0.0, 0.0))[:1 + curve]
 
-    # the record (3, C, slots) of local tangents and, with the curve,
-    # positions: a slot per recorded state k >= 1, in-segment step (k - 1) %
-    # span of segment (k - 1) // span; hits[j] = (slots, their segments)
+    # the record {0: tangents, 1: positions with the curve} (3, C, slots): a
+    # slot per recorded state k >= 1, in-segment step (k - 1) % span of
+    # segment (k - 1) // span; hits[j] = (slots, their segments)
     if keep_path:  # slot k - 1 is row k of the (C, n + 1, 3) output
-        full = [np.tile(state, (paths, n + 1, 1)) for state in first]
+        if keep_path == "positions" and any(tangent_marks):
+            raise ValueError("a scan that keeps positions alone has no tangent marks")
+        full = {i: np.tile(state, (paths, n + 1, 1))
+                for i, state in enumerate(first) if i or keep_path != "positions"}
         states = range(1, n + 1)
-        record = [np.moveaxis(path[:, 1:], -1, 0) for path in full]
+        record = {i: np.moveaxis(path[:, 1:], -1, 0) for i, path in full.items()}
         hits = {j: (slice(j, n, span), slice(segments - (j >= tail))) for j in range(span)}
     else:
         states = sorted({k for k in tangent_marks + position_marks if k})
-        record = [np.empty((3, paths, len(states))) for _ in first]
+        record = {i: np.empty((3, paths, len(states))) for i in range(len(first))}
         steps = np.array(states, dtype=np.int64) - 1
         hits = {j: (np.flatnonzero(steps % span == j), steps[steps % span == j] // span)
                 for j in set((steps % span).tolist())}
@@ -178,7 +182,7 @@ def frame_scan(step, paths: int, n_steps: int, *, weights: tuple[float, float],
             starts_r[:, :, b + 1] = starts_r[:, :, b] + _rotate(starts_q[:, :, b], end_r[:, :, b])
     if rod_step is not None and segments > 1:
         # rescan each segment from its stitched start
-        sup_sq = scan(starts_q[:, :, :segments], starts_r[:, :, :segments], [], {},
+        sup_sq = scan(starts_q[:, :, :segments], starts_r[:, :, :segments], {}, {},
                       rod_step)[-1]
 
     # the one map, in place, of local states to global ones, 4096 // C slots
@@ -186,7 +190,7 @@ def frame_scan(step, paths: int, n_steps: int, *, weights: tuple[float, float],
     width = max(1, MAX_SCAN_WIDTH // max(1, paths))
     for lo in range(0, len(states), width):
         segs = (np.array(states[lo:lo + width]) - 1) // span
-        for i, local in enumerate(record):
+        for i, local in record.items():
             block = local[:, :, lo:lo + width]
             block[...] = _rotate(starts_q[:, :, segs], block)
             if i:
@@ -196,7 +200,7 @@ def frame_scan(step, paths: int, n_steps: int, *, weights: tuple[float, float],
                  for i, (key, marks) in enumerate((("tangents", tangent_marks),
                                                    ("positions", position_marks)))}
     if keep_path:
-        out["tangents_all"], out["positions_all"] = full
+        out.update((("tangents_all", "positions_all")[i], path) for i, path in full.items())
     if rod_step is not None:
         out["sup_rod_dev"] = np.sqrt(np.max(sup_sq, axis=1))
     if want_final_frame:
@@ -211,9 +215,9 @@ def _scan_segments(step, n, span, tail, weights, curve, q0, r0, record, hits, ro
 
     After in-segment step ``j`` with ``hits[j] = (slots, segments)``, the
     listed segments' local tangents fill those slots of ``record[0]``
-    ``(3, C, slots)`` and, with ``curve``, their positions those of
-    ``record[1]``.  Returns the end frames and positions (None without
-    ``curve``) and, with ``rod_step``, the squared rod deviation's maximum.
+    ``(3, C, slots)`` and their positions those of ``record[1]``, if held.
+    Returns the end frames and positions (None without ``curve``) and, with
+    ``rod_step``, the squared rod deviation's maximum.
     """
     w, x, y, z = (np.array(c) for c in q0)
     paths, segments = w.shape
@@ -253,7 +257,8 @@ def _scan_segments(step, n, span, tail, weights, curve, q0, r0, record, hits, ro
             tx, ty, tz = _third_column(w, x, y, z)
         if at is not None:
             slots, segs = at
-            for target, (vx, vy, vz) in zip(record, ((tx, ty, tz), (rx, ry, rz))):
+            for i, target in record.items():
+                vx, vy, vz = ((tx, ty, tz), (rx, ry, rz))[i]
                 target[:, :, slots] = vx[:, segs], vy[:, segs], vz[:, segs]
         if rod_step is not None:
             dev = rz - (idx + 1) * rod_step

@@ -133,8 +133,9 @@ class TestSampleFrc:
         assert np.max(np.abs(cos_angles - math.cos(1.0))) <= 1e-10
 
     def test_long_chain_holds_its_curve_once(self):
-        # torsions, one scan record and the beads: 10^5 bonds once peaked at
-        # 16.8 MiB, with the curve held several times over
+        # torsions, the scan's positions and the beads: 10^5 bonds once
+        # peaked at 16.8 MiB, with the curve held several times over, and at
+        # 6.2 MiB while the scan kept every bond direction too
         cfg = FrcConfig.raw(100_000, 1.0, 1.0)
         tracemalloc.start()
         try:
@@ -142,7 +143,7 @@ class TestSampleFrc:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * 2**20
+        assert peak <= 5.75 * 2**20
 
     def test_matches_rotation_product_reference(self):
         # independent per-bond reference: one Rodrigues matrix per joint
@@ -191,6 +192,13 @@ class TestStreamTorsions:
         (5, 2, None),               # one torsion
         (5, 1000, 5 * 31 * 10),     # blocks of 10 steps in segments of 33 (9 in the last)
         (4096, 200, 4096 * 64),     # one segment of 199 steps in blocks of 64
+        # K = 6: chain 0's run at step 6 starts 2 draws into a Philox block of
+        # 4, so its lead-in lands in the pad in front of the block
+        (2, 401, 2 * 20 * 6),
+        (3, 101, 3 * 10 * 1),       # K = 1: a lead-in reaches back over three runs
+        # K = 2, L = 7, 4 steps in the last segment: from step 4 on its slots
+        # are empty and take the next chain's lead-in
+        (3, 40, 3 * 6 * 2),
     ])
     def test_block_holds_each_chains_draws(self, monkeypatch, paths, n_bonds, block):
         if block is not None:

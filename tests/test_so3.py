@@ -276,6 +276,22 @@ class TestFrameScan:
             assert np.array_equal(rec["tangents_all"][:, k], rec["tangents"][k])
             assert np.array_equal(rec["positions_all"][:, k], rec["positions"][k])
 
+    @pytest.mark.parametrize("paths,n", [(3, 50), (2100, 9)])
+    def test_positions_kept_alone_are_the_kept_path_bits(self, paths, n):
+        # the chain keeps every bead but no bond direction
+        omega = self._omega(paths, n, seed=n + 2)
+        kwargs = dict(weights=(0.0, 0.5), tangent_marks=(0,), position_marks=(0, n // 2))
+        both = frame_scan(_rotvec_steps(omega), paths, n, keep_path=True, **kwargs)
+        alone = frame_scan(_rotvec_steps(omega), paths, n, keep_path="positions", **kwargs)
+        assert set(alone) == {"tangents", "positions", "positions_all"}
+        assert np.array_equal(alone["positions_all"], both["positions_all"])
+        for key in ("tangents", "positions"):
+            for k, value in both[key].items():
+                assert np.array_equal(alone[key][k], value)
+        with pytest.raises(ValueError, match="keeps positions alone has no tangent marks"):
+            frame_scan(_rotvec_steps(omega), paths, n, weights=(0.0, 0.5),
+                       tangent_marks=(1,), keep_path="positions")
+
     @pytest.mark.parametrize("paths,n,segments", [(2100, 9, 1), (3, 50, 7), (17, 997, 31)])
     def test_tangent_only_scan_keeps_the_tangent_bits(self, paths, n, segments):
         # a scan that reads no position skips the curve and takes the
