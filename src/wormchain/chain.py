@@ -150,7 +150,8 @@ class _Torsions:
     :func:`wormchain.so3.segment_plan` ``(C, N - 1)``, segment ``b`` starting
     at torsion ``b L``; ``draw(block, j)`` refills it with steps ``j..j + K -
     1`` when the scan reaches step ``j``.  A block of all ``L`` steps has no
-    ``draw``.  Slots past the last torsion are never read and stay finite.
+    ``draw``.  Slots past the last torsion need only be finite: the scan
+    reads none of them or replaces their steps by the identity.
     """
 
     shape: tuple[int, int]
