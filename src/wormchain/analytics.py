@@ -8,6 +8,10 @@ covariance: under this convention the stiff-limit transverse variance is
 ``Var(sqrt(ell_p) * R^i_s) = 2 * hard_rod_fluctuation_cov(s, s) = 2*s^3/3``,
 because the transverse tangent near the rod is ``sqrt(2/ell_p)`` times a
 standard Brownian motion.
+
+The module also holds what the path layer shares: the input checks, the
+rule that makes a record's arrays read-only (``_freeze``, and ``_adopt`` for
+arrays a sampler has just built), and the rows per write of the CSV writers.
 """
 from __future__ import annotations
 
@@ -26,6 +30,10 @@ __all__ = [
 _MSD_SERIES_CUTOFF = 1e-4
 
 _MAX_COUNT = 1 << 58  # past it a path's (n + 1, 3) float64 arrays exceed 2**63 bytes
+
+# rows formatted per write in the CSV writers: bounds the Python floats and
+# strings alive at once, whatever the path length
+_CSV_BLOCK_ROWS = 4096
 
 def _check_positive(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0.0):
@@ -55,6 +63,21 @@ def _check_count(name: str, value: int) -> int:
     if not (_is_int(value) and value >= 1):
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
     return _check_size(name, int(value))
+
+
+def _freeze(record, **arrays):
+    """``record``, a frozen dataclass, with each of ``arrays`` made
+    read-only and set as the field of its name."""
+    for name, arr in arrays.items():
+        arr.setflags(write=False)
+        object.__setattr__(record, name, arr)
+    return record
+
+
+def _adopt(cls, **arrays):
+    """A ``cls`` record of arrays that the caller built and holds nowhere
+    else: made read-only where they are, neither copied nor checked."""
+    return _freeze(object.__new__(cls), **arrays)
 
 
 def kp_tangent_correlation(ell_p: float, s: float, t: float) -> float:

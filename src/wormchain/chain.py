@@ -26,6 +26,10 @@ of every chain and every segment.  One chain keeps its whole row, so its
 block is that row; an ensemble chunk refills its block as the scan goes,
 drawing each ``(chain, segment)`` run from its place in the chain's
 counter-based stream, so its draw memory does not grow with ``N``.
+
+A :class:`DiscreteChain`'s arrays are read-only.  Its constructor checks
+and copies what it is given; :func:`sample_frc` adopts the arrays it has
+just built, without a copy.
 """
 from __future__ import annotations
 
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import _check_count, _check_positive, _is_int
+from .analytics import _CSV_BLOCK_ROWS, _adopt, _check_count, _check_positive, _freeze, _is_int
 from .so3 import frame_scan, segment_plan
 
 __all__ = [
@@ -48,10 +52,6 @@ __all__ = [
 ]
 
 _E3 = np.array([0.0, 0.0, 1.0])
-
-# rows formatted per write in the CSV writer: bounds the Python floats and
-# strings alive at once, whatever the chain length
-_CSV_BLOCK_ROWS = 4096
 
 # Doubles in an ensemble chunk's torsion block (C, B, K), 16 MB; a whole
 # (C, N - 1) array of torsions reaches the chunk budget, 134 MB.  At 1 << 20
@@ -125,20 +125,7 @@ class DiscreteChain:
         if phis.shape != (beads.shape[0] - 2,):
             raise ValueError(
                 f"phis must have shape (N-1,) = {(beads.shape[0] - 2,)}, got {phis.shape}")
-        self._freeze(beads.copy(), phis.copy())
-
-    @classmethod
-    def _adopt(cls, beads: np.ndarray, phis: np.ndarray) -> "DiscreteChain":
-        """The record of arrays that the caller built and holds nowhere else:
-        made read-only where they are, neither copied nor checked."""
-        chain = object.__new__(cls)
-        chain._freeze(beads, phis)
-        return chain
-
-    def _freeze(self, beads: np.ndarray, phis: np.ndarray) -> None:
-        for name, arr in (("beads", beads), ("phis", phis)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, beads=beads.copy(), phis=phis.copy())
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,17 +184,17 @@ def _frc_steps(theta: float, torsions: _Torsions):
     return fill
 
 
-def _frc_scan(cfg: FrcConfig, phis: np.ndarray | _Torsions, *, keep_beads: bool = False,
+def _frc_scan(cfg: FrcConfig, phis: _Torsions, *, keep_beads: bool = False,
               tangent_marks: tuple[int, ...] = (),
               position_marks: tuple[int, ...] = ()) -> dict:
     """Run the rotation-product construction for a batch of chains.
 
-    ``phis`` has shape (C, N-1), one torsion row per chain: an array, which
-    is copied into a block of every step, or :class:`_Torsions`.  Returns unit
-    bond directions as ``tangents`` keyed by bond number ``1..N`` and bead
-    positions as ``positions`` keyed by bead number ``0..N`` (the shape of
-    the continuum scan's record), and optionally the full bead arrays, whose
-    scan keeps no bond directions, so then takes no tangent marks.
+    ``phis`` is a :class:`_Torsions` of shape (C, N-1), one torsion row per
+    chain.  Returns unit bond directions as ``tangents`` keyed by bond
+    number ``1..N`` and bead positions as ``positions`` keyed by bead number
+    ``0..N`` (the shape of the continuum scan's record), and optionally the
+    full bead arrays, whose scan keeps no bond directions, so then takes no
+    tangent marks.
 
     Bond ``m`` is the frame's tangent after ``m - 1`` torsion steps of
     :func:`wormchain.so3.frame_scan`, and bead ``m >= 1`` is ``a e3`` (the
@@ -224,12 +211,8 @@ def _frc_scan(cfg: FrcConfig, phis: np.ndarray | _Torsions, *, keep_beads: bool 
     for m in position_marks:
         if not 0 <= m <= n:
             raise ValueError(f"bead mark {m} outside 0..{n}")
-    torsions = phis
-    if isinstance(phis, np.ndarray):
-        rows, torsions = _Torsions.rows(paths, n_phis)
-        rows[...] = phis
 
-    rec = frame_scan(_frc_steps(cfg.bond_angle, torsions), paths, n - 1, weights=(0.0, a),
+    rec = frame_scan(_frc_steps(cfg.bond_angle, phis), paths, n - 1, weights=(0.0, a),
                      tangent_marks=[m - 1 for m in tangent_marks],
                      position_marks=[m - 1 for m in position_marks if m >= 1],
                      keep_path="positions" if keep_beads else False)
@@ -305,7 +288,7 @@ def sample_frc(cfg: FrcConfig, rng: np.random.Generator) -> DiscreteChain:
     phis, torsions = _Torsions.rows(1, cfg.n_bonds - 1)
     _draw_torsions(cfg, rng, out=phis[0])
     rec = _frc_scan(cfg, torsions, keep_beads=True)
-    return DiscreteChain._adopt(rec["beads_all"][0], phis[0])
+    return _adopt(DiscreteChain, beads=rec["beads_all"][0], phis=phis[0])
 
 
 def frc_bond_correlation_oracle(theta: float, k: int) -> float:

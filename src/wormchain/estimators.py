@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .analytics import (_check_count, _check_size, _is_int, hard_rod_fluctuation_cov,
+from .analytics import (_check_count, _check_size, _freeze, _is_int, hard_rod_fluctuation_cov,
                         kp_mean_sq_position, kp_tangent_correlation, random_coil_cov)
 from .chain import (FrcConfig, _frc_scan, _stream_torsions, frc_bond_correlation_oracle,
                     frc_msd_oracle)
@@ -177,18 +177,17 @@ def path_rng(seed: int, path_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_stream_key(seed, path_index)))
 
 
-def _path_streams(keys: np.ndarray):
-    """``seek(i, pos=0)``: one Generator with the bits of ``path_rng(*keys[i])``
-    after its first ``pos`` 64-bit draws, from the ``(C, 2)`` Philox keys.
+def _path_streams(seed: int, start: int):
+    """``seek(i, pos=0)``: one Generator with the bits of ``path_rng(seed,
+    start + i)`` after its first ``pos`` 64-bit draws.
 
-    Philox is counter-based: the one Philox is set to key ``keys[i]`` at
-    counter ``pos // 4``, ``pos`` a multiple of 4, with an empty buffer,
-    drawing nothing.  A Philox built per path would read OS entropy for a
-    seed that a given key discards.
+    Philox is counter-based: each seek sets the one Philox to key ``[seed,
+    start + i]`` at counter ``pos // 4``, ``pos`` a multiple of 4, with an
+    empty buffer, drawing nothing.  A Philox built per path would read OS
+    entropy for a seed that a given key discards.
     """
-    bits = np.random.Philox(key=keys[0])
+    bits = np.random.Philox(key=_stream_key(seed, start))
     rng = np.random.Generator(bits)
-    rows = keys.tolist()
     counter = [0, 0, 0, 0]
     inner = {"counter": counter, "key": None}
     state = {"bit_generator": "Philox", "state": inner, "buffer": [0, 0, 0, 0],
@@ -198,7 +197,7 @@ def _path_streams(keys: np.ndarray):
         counter[0], skip = divmod(pos, 4)
         if skip:
             raise ValueError(f"stream position {pos} is not a multiple of 4")
-        inner["key"] = rows[i]
+        inner["key"] = [seed, start + i]
         bits.state = state
         return rng
 
@@ -217,10 +216,8 @@ class EnsembleSummary:
     m2s: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("means", "m2s"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64).copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, **{name: np.asarray(getattr(self, name), dtype=np.float64).copy()
+                         for name in ("means", "m2s")})
         k = len(self.observables)
         if self.means.shape != (k,) or self.m2s.shape != (k,):
             raise ValueError("means/m2s length must match the observable list")
@@ -270,8 +267,8 @@ class EnsembleSummary:
 def _chunk_values(model, observables: tuple[Observable, ...], seed: int,
                   start: int, stop: int) -> np.ndarray:
     """Per-path values ``(observables, paths)`` of paths ``start..stop-1``,
-    each drawn from its own stream, keyed by a row of the chunk's ``(C, 2)``
-    keys.  A chain's torsions are drawn a block of in-segment steps at a
+    each drawn from its own stream, keyed ``(seed, start + i)`` as it is
+    sought.  A chain's torsions are drawn a block of in-segment steps at a
     time, just ahead of the scan, so draw memory does not grow with N; a
     continuum path's normal increments are drawn whole into its row first,
     since a ziggurat normal takes a variable number of draws, so a segment's
@@ -281,7 +278,7 @@ def _chunk_values(model, observables: tuple[Observable, ...], seed: int,
         "tangent_marks": tuple(sorted({k for obs in observables for k in obs.tangent_marks})),
         "position_marks": tuple(sorted({k for obs in observables for k in obs.position_marks})),
     }
-    seek = _path_streams(np.array([(seed, i) for i in range(start, stop)], dtype=np.uint64))
+    seek = _path_streams(seed, start)
     if isinstance(model, FrcConfig):
         rec = _frc_scan(model, _stream_torsions(model, paths, seek), **marks)
     else:

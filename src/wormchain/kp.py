@@ -15,7 +15,9 @@ the step by rotation vector ``omega`` (angle ``a = |omega|``) is the
 quaternion ``(cos(a/2), sin(a/2)/a * omega)``, and a batch is cut into time
 segments that are scanned side by side and then stitched (see
 :mod:`wormchain.so3`).  The frame is only the means: a :class:`PathSample`
-keeps the curve, its grid, tangents and positions.
+keeps the curve, its grid, tangents and positions.  Those arrays are
+read-only: its constructor checks and copies what it is given, and
+:func:`simulate_kp` adopts the arrays it has just built, without a copy.
 
 Noise normalization: the per-step rotation vector is
 ``sqrt(2/ell_p) * (-db2, db1, 0)`` with ``db1, db2 ~ N(0, h)``.  The factor
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import _check_count, _check_positive, _check_size
+from .analytics import _CSV_BLOCK_ROWS, _adopt, _check_count, _check_positive, _check_size, _freeze
 from .so3 import frame_scan
 
 __all__ = [
@@ -47,10 +49,6 @@ __all__ = [
 # Below this rotation angle the step's sin(a/2)/a loses relative precision
 # to its closed form; switch to the series.
 _SMALL_ANGLE = 1e-4
-
-# rows formatted per write in the CSV writer: bounds the Python floats and
-# strings alive at once, whatever the path length
-_CSV_BLOCK_ROWS = 4096
 
 
 def default_n_steps(contour_length: float, ell_p: float) -> int:
@@ -93,25 +91,11 @@ class PathSample:
     positions: np.ndarray  # (n+1, 3)
 
     def __post_init__(self) -> None:
-        self._freeze(*(np.asarray(getattr(self, name), dtype=np.float64).copy()
-                       for name in ("grid", "tangents", "positions")))
+        _freeze(self, **{name: np.asarray(getattr(self, name), dtype=np.float64).copy()
+                         for name in ("grid", "tangents", "positions")})
         n = self.grid.shape[0]
         if self.tangents.shape != (n, 3) or self.positions.shape != (n, 3):
             raise ValueError("grid, tangents and positions lengths disagree")
-
-    @classmethod
-    def _adopt(cls, grid: np.ndarray, tangents: np.ndarray,
-               positions: np.ndarray) -> "PathSample":
-        """The record of arrays that the caller built and holds nowhere else:
-        made read-only where they are, neither copied nor checked."""
-        path = object.__new__(cls)
-        path._freeze(grid, tangents, positions)
-        return path
-
-    def _freeze(self, grid: np.ndarray, tangents: np.ndarray, positions: np.ndarray) -> None:
-        for name, arr in (("grid", grid), ("tangents", tangents), ("positions", positions)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
 
 def _kp_steps(ell_p: float, dbeta: np.ndarray):
@@ -194,7 +178,8 @@ def simulate_kp(cfg: KpConfig, rng: np.random.Generator) -> PathSample:
     """Simulate one path on the uniform grid from the stream ``rng``."""
     rec = _kp_scan(cfg.ell_p, cfg.h, _draw_increments(cfg, rng)[None], keep_path=True)
     grid = np.arange(cfg.n_steps + 1, dtype=np.float64) * cfg.h
-    return PathSample._adopt(grid, rec["tangents_all"][0], rec["positions_all"][0])
+    return _adopt(PathSample, grid=grid, tangents=rec["tangents_all"][0],
+                  positions=rec["positions_all"][0])
 
 
 def write_path_csv(path: PathSample, fileobj) -> None:

@@ -57,8 +57,7 @@ MAX_SCAN_WIDTH = 4096
 def orthonormal_defect(m) -> float:
     """Frobenius norm of m^T m - I; zero for an exactly orthonormal matrix."""
     m = np.asarray(m, dtype=np.float64)
-    g = m.T @ m if m.ndim == 2 else np.swapaxes(m, -1, -2) @ m
-    return float(np.linalg.norm(g - np.eye(3)))
+    return float(np.linalg.norm(np.swapaxes(m, -1, -2) @ m - np.eye(3)))
 
 
 # ---------------------------------------------------------------------------

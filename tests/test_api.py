@@ -5,10 +5,12 @@ import inspect
 import pathlib
 import re
 
+import numpy as np
 import pytest
 
 import wormchain
-from wormchain import DiscreteChain, FrcConfig, PathSample
+from wormchain import (DiscreteChain, EnsembleSummary, FrcConfig, KpConfig, Observable,
+                       PathSample, path_rng, sample_frc, simulate_kp)
 
 _README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 _MODULES = ("analytics", "chain", "cli", "estimators", "kp", "so3")
@@ -77,3 +79,45 @@ def test_deleted_attributes_are_gone(cls):
     for name in _DELETED_ATTRIBUTES[cls]:
         assert not hasattr(cls, name), name
         assert name not in fields, name
+
+
+# each record's public constructor, and fresh arrays to hand it
+_RECORDS = {
+    "DiscreteChain": (DiscreteChain, lambda: {"beads": np.arange(12.0).reshape(4, 3),
+                                              "phis": np.arange(2.0)}),
+    "PathSample": (PathSample, lambda: {"grid": np.arange(3.0),
+                                        "tangents": np.arange(9.0).reshape(3, 3),
+                                        "positions": np.arange(9.0).reshape(3, 3)}),
+    "EnsembleSummary": (lambda **arrays: EnsembleSummary(
+        KpConfig(1.0, 1.0, 4), 0, (Observable("v", "path_msd", (0,)),), 2, **arrays),
+        lambda: {"means": np.array([1.5]), "m2s": np.array([0.5])}),
+}
+
+
+def _assert_read_only(record, names):
+    for name in names:
+        held = getattr(record, name)
+        assert not held.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            held[...] = 7.0
+
+
+@pytest.mark.parametrize("kind", list(_RECORDS))
+def test_public_constructor_copies_and_freezes(kind):
+    build, arrays = _RECORDS[kind]
+    given = arrays()
+    record = build(**given)
+    _assert_read_only(record, given)
+    # the caller's arrays stay writable, and writing to them leaves the record as it was
+    for name, array in given.items():
+        assert array.flags.writeable, name
+        array[...] = -1.0
+    for name, array in arrays().items():
+        assert np.array_equal(getattr(record, name), array), name
+
+
+def test_sampled_records_are_read_only():
+    chain = sample_frc(FrcConfig.scaled(40, 1.0, 1.0), path_rng(1, 0))
+    _assert_read_only(chain, ("beads", "phis"))
+    path = simulate_kp(KpConfig.create(1.0, 1.0, 40), path_rng(1, 0))
+    _assert_read_only(path, ("grid", "tangents", "positions"))

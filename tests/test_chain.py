@@ -14,6 +14,7 @@ from wormchain.chain import (
     _draw_torsions,
     _frc_scan,
     _stream_torsions,
+    _Torsions,
     frc_bond_correlation_oracle,
     frc_msd_oracle,
     sample_frc,
@@ -204,8 +205,7 @@ class TestStreamTorsions:
         if block is not None:
             monkeypatch.setattr(chain_module, "_TORSION_BLOCK", block)
         cfg = FrcConfig.raw(n_bonds, 1.0, 1.0)
-        keys = np.array([[11, 100 + i] for i in range(paths)], dtype=np.uint64)
-        torsions = _stream_torsions(cfg, paths, _path_streams(keys))
+        torsions = _stream_torsions(cfg, paths, _path_streams(11, 100))
         assert torsions.shape == (paths, n_bonds - 1)
         segments, span = segment_plan(paths, n_bonds - 1)
         width = torsions.block.shape[2]
@@ -222,9 +222,11 @@ class TestStreamTorsions:
         for i in range(paths):
             assert np.array_equal(rows[i], _draw_torsions(cfg, path_rng(11, 100 + i)))
         # and the scan of a fresh block gives the scan of the whole rows
-        fresh = _stream_torsions(cfg, paths, _path_streams(keys))
+        fresh = _stream_torsions(cfg, paths, _path_streams(11, 100))
         marks = {"tangent_marks": (n_bonds,), "position_marks": (n_bonds,)}
-        got, want = _frc_scan(cfg, fresh, **marks), _frc_scan(cfg, rows, **marks)
+        whole_rows, whole = _Torsions.rows(paths, n_bonds - 1)
+        whole_rows[...] = rows
+        got, want = _frc_scan(cfg, fresh, **marks), _frc_scan(cfg, whole, **marks)
         assert np.array_equal(got["tangents"][n_bonds], want["tangents"][n_bonds])
         assert np.array_equal(got["positions"][n_bonds], want["positions"][n_bonds])
 
@@ -437,14 +439,14 @@ class TestScanInput:
     @pytest.mark.parametrize("shape", [(2, 2), (2, 5)])
     def test_torsion_count_must_be_n_minus_1(self, shape):
         with pytest.raises(ValueError, match=r"phis must have shape \(C, 3\)"):
-            _frc_scan(self.cfg, np.zeros(shape))
+            _frc_scan(self.cfg, _Torsions.rows(*shape)[1])
 
     @pytest.mark.parametrize("mark", [0, 5])
     def test_bond_mark_outside_the_chain(self, mark):
         with pytest.raises(ValueError, match=f"bond mark {mark} outside 1..4"):
-            _frc_scan(self.cfg, np.zeros((2, 3)), tangent_marks=(1, mark))
+            _frc_scan(self.cfg, _Torsions.rows(2, 3)[1], tangent_marks=(1, mark))
 
     @pytest.mark.parametrize("mark", [-1, 5])
     def test_bead_mark_outside_the_chain(self, mark):
         with pytest.raises(ValueError, match=f"bead mark {mark} outside 0..4"):
-            _frc_scan(self.cfg, np.zeros((2, 3)), position_marks=(0, mark))
+            _frc_scan(self.cfg, _Torsions.rows(2, 3)[1], position_marks=(0, mark))

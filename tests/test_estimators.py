@@ -8,9 +8,10 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
+import wormchain.chain as chain_module
 import wormchain.estimators as est
 from wormchain.analytics import hard_rod_fluctuation_cov, kp_tangent_correlation
-from wormchain.chain import FrcConfig, _frc_scan, frc_msd_oracle, sample_frc
+from wormchain.chain import FrcConfig, _frc_scan, _Torsions, frc_msd_oracle, sample_frc
 from wormchain.estimators import (
     ComparisonReport,
     EnsembleSummary,
@@ -65,7 +66,7 @@ class TestPathRng:
     @pytest.mark.parametrize("pos", [1, 2, 3, 4098])
     def test_seek_takes_whole_philox_blocks_only(self, pos):
         # a position inside a block of 4 draws would need draws skipped
-        seek = est._path_streams(np.array([[7, 0], [7, 1]], dtype=np.uint64))
+        seek = est._path_streams(7, 0)
         with pytest.raises(ValueError, match=f"stream position {pos} is not a multiple of 4"):
             seek(1, pos)
         ahead = path_rng(7, 1).random(size=pos + 8)[pos - pos % 4:]
@@ -165,6 +166,27 @@ class TestRunEnsemble:
         assert serial.count == parallel.count == 40
         assert np.array_equal(serial.means, parallel.means)
         assert np.array_equal(serial.m2s, parallel.m2s)
+
+    def test_worker_count_does_not_change_chain_bits(self, monkeypatch):
+        # 40 chains of 59 torsions in chunks of 12, 12, 12 and 4, each in 7
+        # segments of 9 steps; a torsion block of 100 doubles holds 1 step
+        # of a 12-chain chunk and 3 of the 4-chain one, so every chunk
+        # streams its torsions in several blocks
+        monkeypatch.setattr(est, "_CHUNK_BUDGET", 12 * 59)
+        cfg = FrcConfig.scaled(60, 1.0, 1.0)
+        obs = (Observable("corr", "tangent_dot", (1, 8)), Observable("msd", "path_msd", (60,)),
+               Observable("x", "coord", (0, 31)))
+        whole = run_ensemble(cfg, 40, obs, seed=12, workers=1)
+        monkeypatch.setattr(chain_module, "_TORSION_BLOCK", 100)
+        for paths, steps in ((12, 1), (4, 3)):
+            assert segment_plan(paths, 59) == (7, 9)
+            assert chain_module._stream_torsions(cfg, paths, None).block.shape[2] == steps
+        serial = run_ensemble(cfg, 40, obs, seed=12, workers=1)
+        parallel = run_ensemble(cfg, 40, obs, seed=12, workers=2)
+        for summary in (serial, parallel):
+            assert summary.count == 40
+            assert np.array_equal(summary.means, whole.means)
+            assert np.array_equal(summary.m2s, whole.m2s)
 
     def test_pool_is_no_wider_than_the_chunk_count(self, monkeypatch):
         # a fork start method forks every worker at the first submit, so an
@@ -361,7 +383,8 @@ class TestObservables:
             assert np.array_equal(kept["positions_all"][:, k], marked["positions"][k])
         # a chain of n + 1 bonds scans n torsion steps
         cfg = FrcConfig.raw(n + 1, 0.5, 0.7)
-        phis = rng.uniform(0.0, 2.0 * math.pi, size=(paths, n))
+        rows, phis = _Torsions.rows(paths, n)
+        rows[...] = rng.uniform(0.0, 2.0 * math.pi, size=(paths, n))
         beads = _frc_scan(cfg, phis, keep_beads=True)["beads_all"]
         marked = _frc_scan(cfg, phis, position_marks=tuple(range(n + 2)))
         for m in range(n + 2):
@@ -371,7 +394,8 @@ class TestObservables:
         # bond 1 is exactly e3, so T_1 . T_{1+k} is the z-component of bond
         # 1+k bit for bit; beads are the kept path's beads
         cfg = FrcConfig.scaled(12, 1.0, 1.3)
-        phis = np.random.default_rng(3).uniform(0.0, 2.0 * math.pi, size=(5, 11))
+        rows, phis = _Torsions.rows(5, 11)
+        rows[...] = np.random.default_rng(3).uniform(0.0, 2.0 * math.pi, size=(5, 11))
         rec = _frc_scan(cfg, phis, tangent_marks=(1, 4, 12), position_marks=(0, 5, 12))
         assert np.array_equal(rec["tangents"][1], np.tile([0.0, 0.0, 1.0], (5, 1)))
         for k in (3, 11):
