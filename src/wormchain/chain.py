@@ -28,8 +28,8 @@ drawing each ``(chain, segment)`` run from its place in the chain's
 counter-based stream, so its draw memory does not grow with ``N``.
 
 A :class:`DiscreteChain`'s arrays are read-only.  Its constructor checks
-and copies what it is given; :func:`sample_frc` adopts the arrays it has
-just built, without a copy.
+and copies what it is given; :func:`sample_frc` adopts the torsions it has
+just drawn and the bead array the scan has just filled, without a copy.
 """
 from __future__ import annotations
 
@@ -184,7 +184,7 @@ def _frc_steps(theta: float, torsions: _Torsions):
     return fill
 
 
-def _frc_scan(cfg: FrcConfig, phis: _Torsions, *, keep_beads: bool = False,
+def _frc_scan(cfg: FrcConfig, phis: _Torsions, *, beads: np.ndarray | None = None,
               tangent_marks: tuple[int, ...] = (),
               position_marks: tuple[int, ...] = ()) -> dict:
     """Run the rotation-product construction for a batch of chains.
@@ -192,9 +192,10 @@ def _frc_scan(cfg: FrcConfig, phis: _Torsions, *, keep_beads: bool = False,
     ``phis`` is a :class:`_Torsions` of shape (C, N-1), one torsion row per
     chain.  Returns unit bond directions as ``tangents`` keyed by bond
     number ``1..N`` and bead positions as ``positions`` keyed by bead number
-    ``0..N`` (the shape of the continuum scan's record), and optionally the
-    full bead arrays, whose scan keeps no bond directions, so then takes no
-    tangent marks.
+    ``0..N`` (the shape of the continuum scan's record).  It fills beads
+    ``1..N`` of ``beads`` ``(C, N + 1, 3)``, if given, and leaves bead 0 at
+    the origin where the caller put it; a scan that keeps the beads keeps no
+    bond directions, so then takes no tangent marks.
 
     Bond ``m`` is the frame's tangent after ``m - 1`` torsion steps of
     :func:`wormchain.so3.frame_scan`, and bead ``m >= 1`` is ``a e3`` (the
@@ -215,17 +216,14 @@ def _frc_scan(cfg: FrcConfig, phis: _Torsions, *, keep_beads: bool = False,
     rec = frame_scan(_frc_steps(cfg.bond_angle, phis), paths, n - 1, weights=(0.0, a),
                      tangent_marks=[m - 1 for m in tangent_marks],
                      position_marks=[m - 1 for m in position_marks if m >= 1],
-                     keep_path="positions" if keep_beads else False)
+                     keep=(None, None if beads is None else beads[:, 1:]))
     first_bond = a * _E3
     tangents = {m: rec["tangents"][m - 1] for m in tangent_marks}
     positions = {m: first_bond + rec["positions"][m - 1] if m else np.zeros((paths, 3))
                  for m in position_marks}
-    beads_all = None
-    if keep_beads:
-        # bead m >= 1 is a e3 + state m - 1
-        beads_all = np.zeros((paths, n + 1, 3))
-        np.add(first_bond, rec.pop("positions_all"), out=beads_all[:, 1:])
-    return {"tangents": tangents, "positions": positions, "beads_all": beads_all}
+    if beads is not None:
+        beads[:, 1:] += first_bond  # bead m >= 1 is a e3 + state m - 1
+    return {"tangents": tangents, "positions": positions}
 
 
 def _draw_torsions(cfg: FrcConfig, rng: np.random.Generator,
@@ -287,8 +285,9 @@ def sample_frc(cfg: FrcConfig, rng: np.random.Generator) -> DiscreteChain:
     construction."""
     phis, torsions = _Torsions.rows(1, cfg.n_bonds - 1)
     _draw_torsions(cfg, rng, out=phis[0])
-    rec = _frc_scan(cfg, torsions, keep_beads=True)
-    return _adopt(DiscreteChain, beads=rec["beads_all"][0], phis=phis[0])
+    beads = np.zeros((1, cfg.n_bonds + 1, 3))
+    _frc_scan(cfg, torsions, beads=beads)
+    return _adopt(DiscreteChain, beads=beads[0], phis=phis[0])
 
 
 def frc_bond_correlation_oracle(theta: float, k: int) -> float:

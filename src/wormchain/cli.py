@@ -396,12 +396,7 @@ def _report_plot_rows(row: dict) -> list[list[str]]:
         # pinned zero end (correlation rows fix s = 0 and sweep t)
         s_val = float(row["s"]) if row["s"] else None
         t_val = float(row["t"]) if row["t"] else None
-        if t_val is None:
-            x = s_val
-        elif s_val is None or s_val == 0.0:
-            x = t_val
-        else:
-            x = s_val
+        x = t_val if t_val or s_val is None else s_val
         series = base
     else:
         return []  # aggregate rows (bounds, monotonicity) have no axis

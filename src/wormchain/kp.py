@@ -17,7 +17,7 @@ segments that are scanned side by side and then stitched (see
 :mod:`wormchain.so3`).  The frame is only the means: a :class:`PathSample`
 keeps the curve, its grid, tangents and positions.  Those arrays are
 read-only: its constructor checks and copies what it is given, and
-:func:`simulate_kp` adopts the arrays it has just built, without a copy.
+:func:`simulate_kp` adopts the arrays it has the scan fill, without a copy.
 
 Noise normalization: the per-step rotation vector is
 ``sqrt(2/ell_p) * (-db2, db1, 0)`` with ``db1, db2 ~ N(0, h)``.  The factor
@@ -137,7 +137,7 @@ def _kp_steps(ell_p: float, dbeta: np.ndarray):
 
 
 def _kp_scan(ell_p: float, h: float, dbeta: np.ndarray, *,
-             keep_path: bool = False,
+             keep=(None, None),
              tangent_marks: tuple[int, ...] = (),
              position_marks: tuple[int, ...] = (),
              track_sup_rod_dev: bool = False,
@@ -147,7 +147,8 @@ def _kp_scan(ell_p: float, h: float, dbeta: np.ndarray, *,
     Runs :func:`wormchain.so3.frame_scan`.  Tangents are frame third
     columns; positions accumulate by the trapezoid rule ``R_k = R_{k-1} +
     (h/2)(Q_{k-1} + Q_k)``.  Marks are grid indices in ``0..n``.
-    ``track_sup_rod_dev`` records ``sup_k |R_k - s_k e3|`` per path.
+    ``track_sup_rod_dev`` records ``sup_k |R_k - s_k e3|`` per path, and
+    ``keep = (tangents, positions)`` are filled with the whole paths.
     """
     _check_positive("ell_p", ell_p)
     paths, n, two = dbeta.shape
@@ -156,7 +157,7 @@ def _kp_scan(ell_p: float, h: float, dbeta: np.ndarray, *,
     return frame_scan(_kp_steps(ell_p, dbeta), paths, n, weights=(0.5 * h, 0.5 * h),
                       tangent_marks=tangent_marks, position_marks=position_marks,
                       rod_step=h if track_sup_rod_dev else None,
-                      want_final_frame=want_final_frame, keep_path=keep_path)
+                      want_final_frame=want_final_frame, keep=keep)
 
 
 def _draw_increments(cfg: KpConfig, rng: np.random.Generator,
@@ -176,10 +177,10 @@ def _draw_increments(cfg: KpConfig, rng: np.random.Generator,
 
 def simulate_kp(cfg: KpConfig, rng: np.random.Generator) -> PathSample:
     """Simulate one path on the uniform grid from the stream ``rng``."""
-    rec = _kp_scan(cfg.ell_p, cfg.h, _draw_increments(cfg, rng)[None], keep_path=True)
+    tangents, positions = np.empty((2, 1, cfg.n_steps + 1, 3))
+    _kp_scan(cfg.ell_p, cfg.h, _draw_increments(cfg, rng)[None], keep=(tangents, positions))
     grid = np.arange(cfg.n_steps + 1, dtype=np.float64) * cfg.h
-    return _adopt(PathSample, grid=grid, tangents=rec["tangents_all"][0],
-                  positions=rec["positions_all"][0])
+    return _adopt(PathSample, grid=grid, tangents=tangents[0], positions=positions[0])
 
 
 def write_path_csv(path: PathSample, fileobj) -> None:

@@ -18,7 +18,7 @@ segments are scanned at once, each from the identity frame, so one numpy
 call advances C*B frames; the segments are then stitched in order
 (``S_b = S_{b-1} E_{b-1}``, ``P_b = P_{b-1} + R(S_{b-1}) r_{b-1}``).  One
 record holds each state that is read, once: a slot per mark, filled by the
-one segment that holds it, or a full path, written straight into its output.
+one segment that holds it, or a full path, written into the caller's array.
 One map, ``P_b + R(S_b) local``, takes the record to global coordinates in
 place, so a full path is the marks on every state, bit for bit.  The sup
 deviation from the rod needs global positions at every step; with more than
@@ -110,7 +110,7 @@ def segment_plan(paths: int, n_steps: int) -> tuple[int, int]:
 
 def frame_scan(step, paths: int, n_steps: int, *, weights: tuple[float, float],
                tangent_marks=(), position_marks=(), rod_step: float | None = None,
-               want_final_frame: bool = False, keep_path: bool | str = False) -> dict:
+               want_final_frame: bool = False, keep=(None, None)) -> dict:
     """Advance C moving frames by n right-multiplied steps, and their curves.
 
     ``step(idx, pw, px, py)`` fills the ``(C, len(idx))`` buffers with the
@@ -126,13 +126,12 @@ def frame_scan(step, paths: int, n_steps: int, *, weights: tuple[float, float],
     ``tangent_marks`` and ``position_marks`` (``0..n``) respectively to
     ``(C, 3)`` arrays; with ``rod_step`` set,
     ``sup_rod_dev = sup_k |r_k - k*rod_step*e3|``; optionally the
-    ``(C, 3, 3)`` ``final_frame`` and, with ``keep_path``, every state's
-    ``tangents_all`` and ``positions_all``, ``(C, n+1, 3)``, or only
-    ``positions_all`` if it is ``"positions"``.  The time segments follow
-    :func:`segment_plan`; the curve is integrated only if ``position_marks``,
-    ``rod_step`` or ``keep_path`` asks for it.  One record holds each state
-    that is read, once: the marks' own states, or with ``keep_path`` the full
-    path, whose marks are then read from it.
+    ``(C, 3, 3)`` ``final_frame``.  ``keep = (tangents, positions)``, each a
+    ``(C, n+1, 3)`` array or None, are filled with every state.  The time
+    segments follow :func:`segment_plan`; the curve is integrated only if
+    ``position_marks``, ``rod_step`` or a kept ``positions`` asks for it.  One
+    record holds each state that is read, once: the marks' own states, or the
+    kept arrays, whose marks are then read from them.
     """
     n = int(n_steps)
     segments, span = segment_plan(paths, n)
@@ -142,20 +141,21 @@ def frame_scan(step, paths: int, n_steps: int, *, weights: tuple[float, float],
     for k in tangent_marks + position_marks:
         if not 0 <= k <= n:
             raise ValueError(f"grid mark {k} outside 0..{n}")
-    curve = bool(position_marks or keep_path) or rod_step is not None
+    kept = {i: path for i, path in enumerate(keep) if path is not None}
+    curve = bool(position_marks) or 1 in kept or rod_step is not None
     scan = functools.partial(_scan_segments, step, n, span, tail, weights, curve)
     first = ((0.0, 0.0, 1.0), (0.0, 0.0, 0.0))[:1 + curve]
 
     # the record {0: tangents, 1: positions with the curve} (3, C, slots): a
     # slot per recorded state k >= 1, in-segment step (k - 1) % span of
     # segment (k - 1) // span; hits[j] = (slots, their segments)
-    if keep_path:  # slot k - 1 is row k of the (C, n + 1, 3) output
-        if keep_path == "positions" and any(tangent_marks):
+    if kept:  # slot k - 1 is row k of the (C, n + 1, 3) kept array
+        if 0 not in kept and any(tangent_marks):
             raise ValueError("a scan that keeps positions alone has no tangent marks")
-        full = {i: np.tile(state, (paths, n + 1, 1))
-                for i, state in enumerate(first) if i or keep_path != "positions"}
+        for i, path in kept.items():
+            path[:, 0] = first[i]
         states = range(1, n + 1)
-        record = {i: np.moveaxis(path[:, 1:], -1, 0) for i, path in full.items()}
+        record = {i: np.moveaxis(path[:, 1:], -1, 0) for i, path in kept.items()}
         hits = {j: (slice(j, n, span), slice(segments - (j >= tail))) for j in range(span)}
     else:
         states = sorted({k for k in tangent_marks + position_marks if k})
@@ -198,8 +198,6 @@ def frame_scan(step, paths: int, n_steps: int, *, weights: tuple[float, float],
                        else np.tile(first[i], (paths, 1)) for k in marks}
                  for i, (key, marks) in enumerate((("tangents", tangent_marks),
                                                    ("positions", position_marks)))}
-    if keep_path:
-        out.update((("tangents_all", "positions_all")[i], path) for i, path in full.items())
     if rod_step is not None:
         out["sup_rod_dev"] = np.sqrt(np.max(sup_sq, axis=1))
     if want_final_frame:

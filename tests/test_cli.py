@@ -13,6 +13,9 @@ import pytest
 
 from wormchain import cli
 from wormchain.cli import main
+from wormchain.estimators import (estimate_tangent_correlation, run_ensemble,
+                                  tangent_dot_observable, write_reports_csv)
+from wormchain.kp import KpConfig
 
 
 def run_cli(*args):
@@ -206,7 +209,8 @@ class TestVerify:
         summary = json.loads((first / "report-msd.json").read_text())
         config = tmp_path / "echo.cfg"
         lines = [f"{key} = {value}" for key, value in summary["config"].items()
-                 if key != "suite" and value is not None]
+                 if value is not None]
+        assert "suite = msd" in lines
         config.write_text("\n".join(lines) + "\n")
         second = tmp_path / "second"
         assert run_cli("verify", "--suite", "msd", "--config", config,
@@ -648,6 +652,20 @@ class TestPlotdata:
             assert float(plot_row["y"]) == estimate
             assert float(plot_row["y_lo"]) == pytest.approx(estimate - 2 * stderr, rel=1e-12)
             assert float(plot_row["y_hi"]) == pytest.approx(estimate + 2 * stderr, rel=1e-12)
+
+    def test_t_sweep_from_a_nonzero_s_plots_along_t(self, tmp_path):
+        # s = 0.25 is fixed and t varies, so each row has its own x = t
+        cfg = KpConfig(1.0, 1.0, 100)
+        t_values = (0.5, 0.75, 1.0)
+        summary = run_ensemble(cfg, 16, [tangent_dot_observable(cfg, 0.25, t)
+                                         for t in t_values], seed=6)
+        report_csv = tmp_path / "report.csv"
+        with open(report_csv, "w", encoding="utf-8", newline="") as fh:
+            write_reports_csv([estimate_tangent_correlation(summary, 0.25, t)
+                               for t in t_values], fh)
+        out = tmp_path / "plot.csv"
+        assert run_cli("plotdata", "--report", report_csv, "--out", out) == 0
+        assert [float(r["x"]) for r in read_rows(out) if r["series"] == "qq"] == list(t_values)
 
     def test_gap_series_uses_n_axis(self, tmp_path):
         run_cli("verify", "--suite", "converge", "--n-list", "8,32",

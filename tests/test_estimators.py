@@ -376,16 +376,18 @@ class TestObservables:
         rng = np.random.default_rng(n)
         every = tuple(range(n + 1))
         dbeta = rng.normal(scale=0.1, size=(paths, n, 2))
-        kept = _kp_scan(1.0, 0.01, dbeta, keep_path=True)
+        kept = np.full((2, paths, n + 1, 3), np.nan)
+        _kp_scan(1.0, 0.01, dbeta, keep=tuple(kept))
         marked = _kp_scan(1.0, 0.01, dbeta, tangent_marks=every, position_marks=every)
         for k in every:
-            assert np.array_equal(kept["tangents_all"][:, k], marked["tangents"][k])
-            assert np.array_equal(kept["positions_all"][:, k], marked["positions"][k])
+            assert np.array_equal(kept[0][:, k], marked["tangents"][k])
+            assert np.array_equal(kept[1][:, k], marked["positions"][k])
         # a chain of n + 1 bonds scans n torsion steps
         cfg = FrcConfig.raw(n + 1, 0.5, 0.7)
         rows, phis = _Torsions.rows(paths, n)
         rows[...] = rng.uniform(0.0, 2.0 * math.pi, size=(paths, n))
-        beads = _frc_scan(cfg, phis, keep_beads=True)["beads_all"]
+        beads = np.zeros((paths, n + 2, 3))
+        _frc_scan(cfg, phis, beads=beads)
         marked = _frc_scan(cfg, phis, position_marks=tuple(range(n + 2)))
         for m in range(n + 2):
             assert np.array_equal(beads[:, m], marked["positions"][m])
@@ -401,7 +403,8 @@ class TestObservables:
         for k in (3, 11):
             corr = Observable("c", "tangent_dot", (1, 1 + k)).evaluate(rec)
             assert np.array_equal(corr, rec["tangents"][1 + k][:, 2])
-        beads = _frc_scan(cfg, phis, keep_beads=True)["beads_all"]
+        beads = np.zeros((5, 13, 3))
+        _frc_scan(cfg, phis, beads=beads)
         for m in (0, 5, 12):
             assert np.allclose(rec["positions"][m], beads[:, m], rtol=0.0, atol=1e-14)
         msd = Observable("m", "path_msd", (12,)).evaluate(rec)

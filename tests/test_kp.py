@@ -104,9 +104,11 @@ class TestBrownianDriver:
     def test_zeros_driver(self):
         # a zero driver leaves the frame exactly the identity, so every
         # tangent of the path is exactly e3
-        rec = _kp_scan(1.0, 0.1, np.zeros((1, 10, 2)), keep_path=True, want_final_frame=True)
+        tangents, positions = np.full((2, 1, 11, 3), np.nan)
+        rec = _kp_scan(1.0, 0.1, np.zeros((1, 10, 2)), keep=(tangents, positions),
+                       want_final_frame=True)
         assert np.array_equal(rec["final_frame"][0], np.eye(3))
-        assert np.array_equal(rec["tangents_all"][0], np.tile(E3, (11, 1)))
+        assert np.array_equal(tangents[0], np.tile(E3, (11, 1)))
 
 
 def _one_step_frame(ell_p, db1, db2):
@@ -155,11 +157,12 @@ class TestStepKp:
 class TestSimulateKp:
     def test_zero_driver_gives_straight_rod(self):
         cfg = KpConfig(1.0, 1.0, 50)
-        rec = _kp_scan(cfg.ell_p, cfg.h, np.zeros((1, cfg.n_steps, 2)), keep_path=True)
-        positions = rec["positions_all"][0]
+        tangents, positions = np.full((2, 1, 51, 3), np.nan)
+        _kp_scan(cfg.ell_p, cfg.h, np.zeros((1, cfg.n_steps, 2)), keep=(tangents, positions))
+        positions = positions[0]
         assert np.allclose(positions[:, 2], np.arange(51) * cfg.h, atol=1e-12)
         assert np.allclose(positions[:, :2], 0.0, atol=0)
-        assert np.allclose(rec["tangents_all"][0], np.tile(E3, (51, 1)), atol=0)
+        assert np.allclose(tangents[0], np.tile(E3, (51, 1)), atol=0)
 
     def test_initial_conditions(self):
         cfg = KpConfig(1.0, 0.5, 200)

@@ -258,14 +258,14 @@ class TestFrameScan:
         marks = {0, n, n - 1}
         for b in range(1, segments):
             marks.update((b * span, b * span + 1))
+        kept = np.full((2, paths, n + 1, 3), np.nan)
         rec = frame_scan(_rotvec_steps(omega), paths, n, weights=weights, tangent_marks=marks,
                          position_marks=marks, rod_step=rod_step, want_final_frame=True,
-                         keep_path=True)
+                         keep=tuple(kept))
         tol = dict(rtol=0, atol=1e-12)
-        assert set(rec) == {"tangents", "positions", "sup_rod_dev", "final_frame",
-                            "tangents_all", "positions_all"}
-        assert np.allclose(rec["tangents_all"], tangents, **tol)
-        assert np.allclose(rec["positions_all"], positions, **tol)
+        assert set(rec) == {"tangents", "positions", "sup_rod_dev", "final_frame"}
+        assert np.allclose(kept[0], tangents, **tol)
+        assert np.allclose(kept[1], positions, **tol)
         assert np.allclose(rec["final_frame"], frames[:, -1], **tol)
         assert np.allclose(rec["sup_rod_dev"], sup, **tol)
         assert set(rec["tangents"]) == set(rec["positions"]) == marks
@@ -273,24 +273,26 @@ class TestFrameScan:
             assert np.allclose(rec["tangents"][k], tangents[:, k], **tol)
             assert np.allclose(rec["positions"][k], positions[:, k], **tol)
             # and a kept path is its own marks, bit for bit
-            assert np.array_equal(rec["tangents_all"][:, k], rec["tangents"][k])
-            assert np.array_equal(rec["positions_all"][:, k], rec["positions"][k])
+            assert np.array_equal(kept[0][:, k], rec["tangents"][k])
+            assert np.array_equal(kept[1][:, k], rec["positions"][k])
 
     @pytest.mark.parametrize("paths,n", [(3, 50), (2100, 9)])
     def test_positions_kept_alone_are_the_kept_path_bits(self, paths, n):
         # the chain keeps every bead but no bond direction
         omega = self._omega(paths, n, seed=n + 2)
         kwargs = dict(weights=(0.0, 0.5), tangent_marks=(0,), position_marks=(0, n // 2))
-        both = frame_scan(_rotvec_steps(omega), paths, n, keep_path=True, **kwargs)
-        alone = frame_scan(_rotvec_steps(omega), paths, n, keep_path="positions", **kwargs)
-        assert set(alone) == {"tangents", "positions", "positions_all"}
-        assert np.array_equal(alone["positions_all"], both["positions_all"])
+        kept, kept_alone = np.full((2, 2, paths, n + 1, 3), np.nan)
+        both = frame_scan(_rotvec_steps(omega), paths, n, keep=tuple(kept), **kwargs)
+        alone = frame_scan(_rotvec_steps(omega), paths, n, keep=(None, kept_alone[1]), **kwargs)
+        assert set(alone) == {"tangents", "positions"}
+        assert np.array_equal(kept_alone[1], kept[1])
+        assert np.isnan(kept_alone[0]).all()
         for key in ("tangents", "positions"):
             for k, value in both[key].items():
                 assert np.array_equal(alone[key][k], value)
         with pytest.raises(ValueError, match="keeps positions alone has no tangent marks"):
             frame_scan(_rotvec_steps(omega), paths, n, weights=(0.0, 0.5),
-                       tangent_marks=(1,), keep_path="positions")
+                       tangent_marks=(1,), keep=(None, kept_alone[1]))
 
     @pytest.mark.parametrize("paths,n,segments", [(2100, 9, 1), (3, 50, 7), (17, 997, 31)])
     def test_tangent_only_scan_keeps_the_tangent_bits(self, paths, n, segments):
