@@ -22,10 +22,10 @@ rule.  Long chains are cut into time segments scanned side by side and
 stitched, as described in :mod:`wormchain.so3`.
 
 The scan reads torsions from a block ``(C, B, K)``: ``K`` in-segment steps
-of every chain and every segment.  One chain keeps its whole row, so its
-block is that row; an ensemble chunk refills its block as the scan goes,
-drawing each ``(chain, segment)`` run from its place in the chain's
-counter-based stream, so its draw memory does not grow with ``N``.
+of every chain and every segment, filled as the scan goes by the one torsion
+draw, :func:`_draw_torsions`, each ``(chain, segment)`` run from its place in
+the chain's counter-based stream, so a chunk's draw memory does not grow with
+``N``.  A lone chain's block is its whole row, as in :func:`sample_frc`.
 
 A :class:`DiscreteChain`'s arrays are read-only.  Its constructor checks
 and copies what it is given; :func:`sample_frc` adopts the torsions it has
@@ -135,23 +135,15 @@ class _Torsions:
     ``shape`` is ``(C, N - 1)``.  ``block`` ``(C, B, K)`` holds ``K``
     in-segment steps of each of the ``B`` segments of
     :func:`wormchain.so3.segment_plan` ``(C, N - 1)``, segment ``b`` starting
-    at torsion ``b L``; ``draw(block, j)`` refills it with steps ``j..j + K -
-    1`` when the scan reaches step ``j``.  A block of all ``L`` steps has no
-    ``draw``.  Slots past the last torsion need only be finite: the scan
-    reads none of them or replaces their steps by the identity.
+    at torsion ``b L``; ``draw(block, j)`` fills it with steps ``j..j + K -
+    1`` when the scan reaches step ``j``, a multiple of ``K``.  Slots past
+    the last torsion need only be finite: the scan reads none of them or
+    replaces their steps by the identity.
     """
 
     shape: tuple[int, int]
     block: np.ndarray
-    draw: Callable[[np.ndarray, int], None] | None = None
-
-    @classmethod
-    def rows(cls, paths: int, n_phis: int) -> tuple[np.ndarray, "_Torsions"]:
-        """A zeroed block of every step, and the ``(C, N - 1)`` rows that
-        share its memory: each row padded to ``B L`` and viewed as ``(B, L)``."""
-        segments, span = segment_plan(paths, n_phis)
-        padded = np.zeros((paths, segments * span))
-        return padded[:, :n_phis], cls((paths, n_phis), padded.reshape(paths, segments, span))
+    draw: Callable[[np.ndarray, int], None]
 
 
 def _frc_steps(theta: float, torsions: _Torsions):
@@ -160,7 +152,7 @@ def _frc_steps(theta: float, torsions: _Torsions):
     sin(theta/2) cos phi, sin(theta/2) sin phi, 0)``.  ``cos phi`` and
     ``sin phi`` come from one ``tau = tan(phi/2)`` as ``(1 - tau^2)/(1 +
     tau^2)`` and ``2 tau/(1 + tau^2)``.  Step ``j``'s ``(C, B)`` torsions are
-    one strided slice of the block, refilled every ``K`` steps."""
+    one strided slice of the block, filled every ``K`` steps."""
     cos_half = math.cos(0.5 * theta)
     sin_half = math.sin(0.5 * theta)
     block, draw = torsions.block, torsions.draw
@@ -168,7 +160,7 @@ def _frc_steps(theta: float, torsions: _Torsions):
 
     def fill(idx, pw, px, py):
         j = int(idx[0])  # segment 0 starts at torsion 0
-        if draw is not None and j % width == 0:
+        if j % width == 0:
             draw(block, j)
         tau = np.multiply(block[:, :, j % width], 0.5)
         np.tan(tau, out=tau)
@@ -226,24 +218,9 @@ def _frc_scan(cfg: FrcConfig, phis: _Torsions, *, beads: np.ndarray | None = Non
     return {"tangents": tangents, "positions": positions}
 
 
-def _draw_torsions(cfg: FrcConfig, rng: np.random.Generator,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """One chain's ``N - 1`` torsions, i.i.d. uniform on ``[0, 2*pi)``,
-    written into ``out`` (a new array if None).
-
-    Unit uniforms scaled in place are the bits of ``rng.uniform(0.0,
-    2*pi)``, which computes ``0 + 2*pi * u``, without its temporary.
-    """
-    if out is None:
-        out = np.empty(cfg.n_bonds - 1)
-    rng.random(out=out)
-    out *= 2.0 * math.pi
-    return out
-
-
-def _stream_torsions(cfg: FrcConfig, paths: int, seek) -> _Torsions:
+def _draw_torsions(cfg: FrcConfig, paths: int, seek) -> _Torsions:
     """The torsions of ``C`` chains, drawn a block at a time just ahead of
-    the scan.
+    the scan: the bits of ``rng.uniform(0.0, 2*pi)``, ``0 + 2*pi * u``.
 
     ``seek(i, pos)`` is chain ``i``'s stream past its first ``pos`` draws, a
     multiple of 4.  Each ``(chain, segment)`` run of a block, or a chain's
@@ -251,13 +228,13 @@ def _stream_torsions(cfg: FrcConfig, paths: int, seek) -> _Torsions:
     4``, its lead-in landing in the slots just ahead of its slice.  Runs are
     drawn last chain to first and last segment to first, so a lead-in lands
     in a 3-double pad in front of the block, in slots drawn later or in
-    slots past the last torsion: the block holds the bits of
-    :func:`_draw_torsions`.  The block holds at most ``_TORSION_BLOCK``
-    doubles, or one step of every segment when ``C B`` is larger.
+    slots past the last torsion.  A lone chain's block is its whole row; a
+    block of more holds at most ``_TORSION_BLOCK`` doubles, or one step of
+    every segment when ``C B`` is larger.
     """
     n_phis = cfg.n_bonds - 1
     segments, span = segment_plan(paths, n_phis)
-    width = max(1, min(span, _TORSION_BLOCK // (paths * segments)))
+    width = span if paths == 1 else max(1, min(span, _TORSION_BLOCK // (paths * segments)))
     row = segments * width
     flat = np.zeros(3 + paths * row)
 
@@ -281,13 +258,12 @@ def _stream_torsions(cfg: FrcConfig, paths: int, seek) -> _Torsions:
 
 
 def sample_frc(cfg: FrcConfig, rng: np.random.Generator) -> DiscreteChain:
-    """Draw one chain from the stream ``rng``: its torsions, then the exact
-    construction."""
-    phis, torsions = _Torsions.rows(1, cfg.n_bonds - 1)
-    _draw_torsions(cfg, rng, out=phis[0])
+    """Draw one chain from the stream ``rng``: the torsion draw of ``C = 1``,
+    its whole row from the start of ``rng``, then the exact construction."""
+    torsions = _draw_torsions(cfg, 1, lambda i, pos=0: rng)
     beads = np.zeros((1, cfg.n_bonds + 1, 3))
     _frc_scan(cfg, torsions, beads=beads)
-    return _adopt(DiscreteChain, beads=beads[0], phis=phis[0])
+    return _adopt(DiscreteChain, beads=beads[0], phis=torsions.block.ravel()[:cfg.n_bonds - 1])
 
 
 def frc_bond_correlation_oracle(theta: float, k: int) -> float:

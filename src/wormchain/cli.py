@@ -144,16 +144,20 @@ def _cmd_simulate_kp(args) -> int:
 
 
 def _read_config_file(path: str) -> dict[str, str]:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"{path}: {exc}") from exc
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise _UsageError(f"{path}:{lineno}: expected 'key = value', got {line.rstrip()!r}")
-            key, _, value = text.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
+    for lineno, line in enumerate(lines, start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise _UsageError(f"{path}:{lineno}: expected 'key = value', got {line.rstrip()!r}")
+        key, _, value = text.partition("=")
+        values[key.strip().replace("-", "_")] = value.strip()
     return values
 
 

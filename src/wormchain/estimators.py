@@ -21,7 +21,7 @@ import numpy as np
 
 from .analytics import (_check_count, _check_size, _freeze, _is_int, hard_rod_fluctuation_cov,
                         kp_mean_sq_position, kp_tangent_correlation, random_coil_cov)
-from .chain import (FrcConfig, _frc_scan, _stream_torsions, frc_bond_correlation_oracle,
+from .chain import (FrcConfig, _draw_torsions, _frc_scan, frc_bond_correlation_oracle,
                     frc_msd_oracle)
 from .kp import KpConfig, _draw_increments, _kp_scan
 from .so3 import MAX_SCAN_WIDTH
@@ -55,7 +55,10 @@ _ROD_SUP_BOUND = 0.05
 
 # Cap on per-chunk random-increment elements (doubles); keeps the largest
 # continuum runs near 134 MB of draw memory while amortizing numpy call
-# overhead.  A chain chunk holds only its torsion block (chain._TORSION_BLOCK).
+# overhead.  A chain chunk holds only its torsion block (chain._TORSION_BLOCK),
+# yet chain chunks are still sized by N - 1 doubles a chain: the chunk widths
+# fix each chunk's segment plan and the order in which summaries merge, so
+# the pinned reports' bits depend on them.
 _CHUNK_BUDGET = 1 << 24
 _MAX_CHUNK_PATHS = MAX_SCAN_WIDTH
 
@@ -267,12 +270,9 @@ class EnsembleSummary:
 def _chunk_values(model, observables: tuple[Observable, ...], seed: int,
                   start: int, stop: int) -> np.ndarray:
     """Per-path values ``(observables, paths)`` of paths ``start..stop-1``,
-    each drawn from its own stream, keyed ``(seed, start + i)`` as it is
-    sought.  A chain's torsions are drawn a block of in-segment steps at a
-    time, just ahead of the scan, so draw memory does not grow with N; a
-    continuum path's normal increments are drawn whole into its row first,
-    since a ziggurat normal takes a variable number of draws, so a segment's
-    place in the stream is not known without drawing what comes before it."""
+    each drawn by its model's one draw function from its own stream, keyed
+    ``(seed, start + i)`` as it is sought: a chain's torsions a block at a
+    time just ahead of the scan, a continuum path's increments whole."""
     paths = stop - start
     marks = {
         "tangent_marks": tuple(sorted({k for obs in observables for k in obs.tangent_marks})),
@@ -280,12 +280,9 @@ def _chunk_values(model, observables: tuple[Observable, ...], seed: int,
     }
     seek = _path_streams(seed, start)
     if isinstance(model, FrcConfig):
-        rec = _frc_scan(model, _stream_torsions(model, paths, seek), **marks)
+        rec = _frc_scan(model, _draw_torsions(model, paths, seek), **marks)
     else:
-        dbeta = np.empty((paths, model.n_steps, 2))
-        for i, row in enumerate(dbeta):
-            _draw_increments(model, seek(i), out=row)
-        rec = _kp_scan(model.ell_p, model.h, dbeta, **marks,
+        rec = _kp_scan(model.ell_p, model.h, _draw_increments(model, paths, seek), **marks,
                        track_sup_rod_dev=any(obs.kind == "sup_rod_dev" for obs in observables))
     return np.stack([obs.evaluate(rec) for obs in observables])
 

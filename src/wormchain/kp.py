@@ -18,6 +18,7 @@ segments that are scanned side by side and then stitched (see
 keeps the curve, its grid, tangents and positions.  Those arrays are
 read-only: its constructor checks and copies what it is given, and
 :func:`simulate_kp` adopts the arrays it has the scan fill, without a copy.
+Every path, :func:`simulate_kp`'s too, draws in :func:`_draw_increments`.
 
 Noise normalization: the per-step rotation vector is
 ``sqrt(2/ell_p) * (-db2, db1, 0)`` with ``db1, db2 ~ N(0, h)``.  The factor
@@ -51,6 +52,13 @@ __all__ = [
 _SMALL_ANGLE = 1e-4
 
 
+def _check_ell_p(ell_p: float) -> None:
+    # below about 1.11e-308 the step scale sqrt(2/ell_p) is inf: every step nan
+    _check_positive("ell_p", ell_p)
+    if not math.isfinite(2.0 / float(ell_p)):
+        raise ValueError(f"ell_p = {ell_p!r} is too small: the step scale sqrt(2/ell_p) overflows")
+
+
 def default_n_steps(contour_length: float, ell_p: float) -> int:
     """Grid resolution that resolves the correlation length with >= 50 steps."""
     _check_positive("contour_length", contour_length)
@@ -68,7 +76,7 @@ class KpConfig:
 
     def __post_init__(self) -> None:
         _check_positive("contour_length", self.contour_length)
-        _check_positive("ell_p", self.ell_p)
+        _check_ell_p(self.ell_p)
         object.__setattr__(self, "n_steps", _check_count("n_steps", self.n_steps))
 
     @classmethod
@@ -150,7 +158,7 @@ def _kp_scan(ell_p: float, h: float, dbeta: np.ndarray, *,
     ``track_sup_rod_dev`` records ``sup_k |R_k - s_k e3|`` per path, and
     ``keep = (tangents, positions)`` are filled with the whole paths.
     """
-    _check_positive("ell_p", ell_p)
+    _check_ell_p(ell_p)
     paths, n, two = dbeta.shape
     if two != 2:
         raise ValueError(f"dbeta must have shape (C, n_steps, 2), got {dbeta.shape}")
@@ -160,25 +168,27 @@ def _kp_scan(ell_p: float, h: float, dbeta: np.ndarray, *,
                       want_final_frame=want_final_frame, keep=keep)
 
 
-def _draw_increments(cfg: KpConfig, rng: np.random.Generator,
-                     out: np.ndarray | None = None) -> np.ndarray:
-    """One path's driver: ``(n_steps, 2)`` increments ``(db1_k, db2_k)``,
-    each i.i.d. Normal(0, h), written into ``out`` (a new array if None).
+def _draw_increments(cfg: KpConfig, paths: int, seek) -> np.ndarray:
+    """The driver of ``C`` paths: ``(C, n_steps, 2)`` increments ``(db1_k,
+    db2_k)``, each i.i.d. Normal(0, h), row ``i`` drawn whole from ``seek(i)``,
+    since a ziggurat normal takes a variable number of draws: a segment's
+    place in the stream is not known without drawing what comes before it.
 
-    Standard normals scaled in place are the bits of ``rng.normal(0.0,
-    sqrt(h))``, which computes ``0 + sqrt(h) * z``, without its temporary.
+    Each row's standard normals are scaled in place as soon as they are
+    drawn, while the row is still in cache; they are the bits of
+    ``rng.normal(0.0, sqrt(h))``, which computes ``0 + sqrt(h) * z``.
     """
-    if out is None:
-        out = np.empty((cfg.n_steps, 2))
-    rng.standard_normal(out=out)
-    out *= math.sqrt(cfg.h)
-    return out
+    dbeta = np.empty((paths, cfg.n_steps, 2))
+    for i, row in enumerate(dbeta):
+        seek(i).standard_normal(out=row)
+        row *= math.sqrt(cfg.h)
+    return dbeta
 
 
 def simulate_kp(cfg: KpConfig, rng: np.random.Generator) -> PathSample:
-    """Simulate one path on the uniform grid from the stream ``rng``."""
+    """Simulate one path on the uniform grid: the one-path draw from ``rng``, then the scan."""
     tangents, positions = np.empty((2, 1, cfg.n_steps + 1, 3))
-    _kp_scan(cfg.ell_p, cfg.h, _draw_increments(cfg, rng)[None], keep=(tangents, positions))
+    _kp_scan(cfg.ell_p, cfg.h, _draw_increments(cfg, 1, lambda i: rng), keep=(tangents, positions))
     grid = np.arange(cfg.n_steps + 1, dtype=np.float64) * cfg.h
     return _adopt(PathSample, grid=grid, tangents=tangents[0], positions=positions[0])
 

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from rodrigues import rodrigues_batch
+from torsions import whole_row_torsions
 
 import wormchain.chain as chain_module
 from wormchain.chain import (
@@ -13,8 +14,6 @@ from wormchain.chain import (
     FrcConfig,
     _draw_torsions,
     _frc_scan,
-    _stream_torsions,
-    _Torsions,
     frc_bond_correlation_oracle,
     frc_msd_oracle,
     sample_frc,
@@ -172,21 +171,36 @@ class TestSampleFrc:
 
 
     def test_torsions_are_the_bits_of_a_scaled_uniform(self):
-        # unit uniforms scaled in place are rng.uniform(0, 2 pi) bit for bit
+        # unit uniforms scaled in place are rng.uniform(0, 2 pi) bit for bit,
+        # and a lone chain's block is its whole row, drawn in one run
         cfg = FrcConfig.scaled(130, 1.0, 1.0)
         expected = path_rng(4, 9).uniform(0.0, 2.0 * math.pi, size=129)
-        assert np.array_equal(_draw_torsions(cfg, path_rng(4, 9)), expected)
-        rows = np.zeros((2, 129))
-        row = rows[0]
-        assert _draw_torsions(cfg, path_rng(4, 9), out=row) is row
-        assert np.array_equal(rows[0], expected) and not rows[1].any()
+        torsions = _draw_torsions(cfg, 1, lambda i, pos=0: path_rng(4, 9))
+        segments, span = segment_plan(1, 129)
+        assert torsions.shape == (1, 129) and torsions.block.shape == (1, segments, span)
+        torsions.draw(torsions.block, 0)
+        assert np.array_equal(torsions.block.reshape(-1)[:129], expected)
+        assert not torsions.block.reshape(-1)[129:].any()
         assert np.array_equal(sample_frc(cfg, path_rng(4, 9)).phis, expected)
+
+    def test_lone_chain_holds_its_whole_row_whatever_the_block(self, monkeypatch):
+        # a 64-double block holds 2 of the 33 steps of each of the chain's 31
+        # segments; a lone chain's block still holds its whole row, drawn in
+        # one run from the start of its stream, so its torsions and beads do
+        # not depend on the block size
+        cfg = FrcConfig.raw(1000, 1.0, 1.0)
+        unpatched = sample_frc(cfg, path_rng(4, 9))
+        monkeypatch.setattr(chain_module, "_TORSION_BLOCK", 64)
+        chain = sample_frc(cfg, path_rng(4, 9))
+        expected = path_rng(4, 9).uniform(0.0, 2.0 * math.pi, size=999)
+        assert np.array_equal(chain.phis, expected)
+        assert np.array_equal(chain.beads, unpatched.beads)
 
 
 class TestStreamTorsions:
     """An ensemble chunk's torsion block, refilled as the scan reads it,
     holds each chain's own draws bit for bit.  These tests call the block
-    helper ``_stream_torsions``."""
+    helper ``_draw_torsions``."""
 
     @pytest.mark.parametrize("paths, n_bonds, block", [
         (3, 40, None),              # B = 6, L = 7: the last segment has 4 real steps
@@ -208,7 +222,7 @@ class TestStreamTorsions:
         if block is not None:
             monkeypatch.setattr(chain_module, "_TORSION_BLOCK", block)
         cfg = FrcConfig.raw(n_bonds, 1.0, 1.0)
-        torsions = _stream_torsions(cfg, paths, _path_streams(11, 100))
+        torsions = _draw_torsions(cfg, paths, _path_streams(11, 100))
         assert torsions.shape == (paths, n_bonds - 1)
         segments, span = segment_plan(paths, n_bonds - 1)
         width = torsions.block.shape[2]
@@ -223,12 +237,12 @@ class TestStreamTorsions:
             seen[:, :, j] = torsions.block[:, :, j % width]
         rows = seen.reshape(paths, -1)[:, :n_bonds - 1]
         for i in range(paths):
-            assert np.array_equal(rows[i], _draw_torsions(cfg, path_rng(11, 100 + i)))
+            expected = path_rng(11, 100 + i).uniform(0.0, 2.0 * math.pi, n_bonds - 1)
+            assert np.array_equal(rows[i], expected)
         # and the scan of a fresh block gives the scan of the whole rows
-        fresh = _stream_torsions(cfg, paths, _path_streams(11, 100))
+        fresh = _draw_torsions(cfg, paths, _path_streams(11, 100))
         marks = {"tangent_marks": (n_bonds,), "position_marks": (n_bonds,)}
-        whole_rows, whole = _Torsions.rows(paths, n_bonds - 1)
-        whole_rows[...] = rows
+        whole = whole_row_torsions(rows)
         got, want = _frc_scan(cfg, fresh, **marks), _frc_scan(cfg, whole, **marks)
         assert np.array_equal(got["tangents"][n_bonds], want["tangents"][n_bonds])
         assert np.array_equal(got["positions"][n_bonds], want["positions"][n_bonds])
@@ -442,14 +456,14 @@ class TestScanInput:
     @pytest.mark.parametrize("shape", [(2, 2), (2, 5)])
     def test_torsion_count_must_be_n_minus_1(self, shape):
         with pytest.raises(ValueError, match=r"phis must have shape \(C, 3\)"):
-            _frc_scan(self.cfg, _Torsions.rows(*shape)[1])
+            _frc_scan(self.cfg, whole_row_torsions(np.zeros(shape)))
 
     @pytest.mark.parametrize("mark", [0, 5])
     def test_bond_mark_outside_the_chain(self, mark):
         with pytest.raises(ValueError, match=f"bond mark {mark} outside 1..4"):
-            _frc_scan(self.cfg, _Torsions.rows(2, 3)[1], tangent_marks=(1, mark))
+            _frc_scan(self.cfg, whole_row_torsions(np.zeros((2, 3))), tangent_marks=(1, mark))
 
     @pytest.mark.parametrize("mark", [-1, 5])
     def test_bead_mark_outside_the_chain(self, mark):
         with pytest.raises(ValueError, match=f"bead mark {mark} outside 0..4"):
-            _frc_scan(self.cfg, _Torsions.rows(2, 3)[1], position_marks=(0, mark))
+            _frc_scan(self.cfg, whole_row_torsions(np.zeros((2, 3))), position_marks=(0, mark))

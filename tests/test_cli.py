@@ -384,6 +384,29 @@ class TestBadInput:
         assert err == f"error: n_list must strictly increase from N >= 2, got [{ladder}]\n"
         assert not list(tmp_path.glob("report-*"))
 
+    def test_config_file_that_is_not_utf8(self, capsys, tmp_path):
+        # once a UnicodeDecodeError traceback and exit 1
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(b"\xff\xfe")
+        err = self._usage_error(capsys, "verify", "--suite", "msd", "--config", config,
+                                "--seed", 1, "--out-dir", tmp_path)
+        assert err.startswith(f"error: {config}: ") and "decode" in err
+        assert not list(tmp_path.glob("report-*"))
+
+    @pytest.mark.parametrize("command", [
+        ("simulate-kp", "--contour-length", 1, "--out", "kp.csv"),
+        ("verify", "--suite", "msd", "--n-paths", 40, "--out-dir", "."),
+    ], ids=lambda c: c[0])
+    def test_ell_p_whose_step_scale_overflows(self, capsys, tmp_path, monkeypatch, command):
+        # sqrt(2/ell_p) is inf below about 1.11e-308: with an explicit grid
+        # the run once wrote rows of nan and exited 0
+        monkeypatch.chdir(tmp_path)
+        err = self._usage_error(capsys, *command, "--ell-p", "1e-320", "--n-steps", 10,
+                                "--seed", 1)
+        assert err == ("error: ell_p = 1e-320 is too small: "
+                       "the step scale sqrt(2/ell_p) overflows\n")
+        assert not list(tmp_path.iterdir())
+
     def test_negative_seed_in_config_file(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("seed = -5\n")
@@ -423,11 +446,12 @@ class TestBadInput:
         assert not (tmp_path / "p.csv").exists()
 
     def test_counts_beyond_numpy_index_range(self, capsys, tmp_path):
-        # the coil suite's n_steps hint once took math.ceil of inf
-        err = self._usage_error(capsys, "verify", "--suite", "random-coil", "--ell-p", 1e-310,
+        # the coil suite's n_steps hint once took math.ceil of inf; at 2e-308
+        # the step scale sqrt(2/ell_p) is finite but 10 L/ell_p is not
+        err = self._usage_error(capsys, "verify", "--suite", "random-coil", "--ell-p", 2e-308,
                                 "--n-steps", 1000, "--n-paths", 30, "--seed", 1,
                                 "--out-dir", tmp_path)
-        assert "ell_p = 1e-310" in err and "Infinity steps" in err
+        assert "ell_p = 2e-308" in err and "Infinity steps" in err
         err = self._usage_error(capsys, "simulate-frc", "--n-bonds", 10**400, "--contour-length",
                                 1, "--kappa", 1, "--seed", 1, "--out", tmp_path / "c.csv")
         assert "n_bonds asks for 1.000e+400 steps" in err

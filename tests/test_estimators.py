@@ -7,11 +7,12 @@ from concurrent.futures import Future
 
 import numpy as np
 import pytest
+from torsions import whole_row_torsions
 
 import wormchain.chain as chain_module
 import wormchain.estimators as est
 from wormchain.analytics import hard_rod_fluctuation_cov, kp_tangent_correlation
-from wormchain.chain import FrcConfig, _frc_scan, _Torsions, frc_msd_oracle, sample_frc
+from wormchain.chain import FrcConfig, _frc_scan, frc_msd_oracle, sample_frc
 from wormchain.estimators import (
     ComparisonReport,
     EnsembleSummary,
@@ -30,7 +31,7 @@ from wormchain.estimators import (
     tangent_dot_observable,
     write_reports_csv,
 )
-from wormchain.kp import KpConfig, _draw_increments, _kp_scan, simulate_kp
+from wormchain.kp import KpConfig, _kp_scan, simulate_kp
 from wormchain.so3 import segment_plan
 
 
@@ -180,7 +181,7 @@ class TestRunEnsemble:
         monkeypatch.setattr(chain_module, "_TORSION_BLOCK", 100)
         for paths, steps in ((12, 1), (4, 3)):
             assert segment_plan(paths, 59) == (7, 9)
-            assert chain_module._stream_torsions(cfg, paths, None).block.shape[2] == steps
+            assert chain_module._draw_torsions(cfg, paths, None).block.shape[2] == steps
         serial = run_ensemble(cfg, 40, obs, seed=12, workers=1)
         parallel = run_ensemble(cfg, 40, obs, seed=12, workers=2)
         for summary in (serial, parallel):
@@ -308,7 +309,8 @@ class TestRunEnsemble:
         (dbeta,) = seen
         assert dbeta.shape == (5, 7, 2)
         for row, index in enumerate(range(3, 8)):
-            assert np.array_equal(dbeta[row], _draw_increments(cfg, path_rng(21, index)))
+            expected = path_rng(21, index).normal(0.0, math.sqrt(cfg.h), (7, 2))
+            assert np.array_equal(dbeta[row], expected)
 
     def test_validation(self):
         cfg = KpConfig(1.0, 1.0, 8)
@@ -384,8 +386,7 @@ class TestObservables:
             assert np.array_equal(kept[1][:, k], marked["positions"][k])
         # a chain of n + 1 bonds scans n torsion steps
         cfg = FrcConfig.raw(n + 1, 0.5, 0.7)
-        rows, phis = _Torsions.rows(paths, n)
-        rows[...] = rng.uniform(0.0, 2.0 * math.pi, size=(paths, n))
+        phis = whole_row_torsions(rng.uniform(0.0, 2.0 * math.pi, size=(paths, n)))
         beads = np.zeros((paths, n + 2, 3))
         _frc_scan(cfg, phis, beads=beads)
         marked = _frc_scan(cfg, phis, position_marks=tuple(range(n + 2)))
@@ -396,8 +397,7 @@ class TestObservables:
         # bond 1 is exactly e3, so T_1 . T_{1+k} is the z-component of bond
         # 1+k bit for bit; beads are the kept path's beads
         cfg = FrcConfig.scaled(12, 1.0, 1.3)
-        rows, phis = _Torsions.rows(5, 11)
-        rows[...] = np.random.default_rng(3).uniform(0.0, 2.0 * math.pi, size=(5, 11))
+        phis = whole_row_torsions(np.random.default_rng(3).uniform(0.0, 2.0 * math.pi, (5, 11)))
         rec = _frc_scan(cfg, phis, tangent_marks=(1, 4, 12), position_marks=(0, 5, 12))
         assert np.array_equal(rec["tangents"][1], np.tile([0.0, 0.0, 1.0], (5, 1)))
         for k in (3, 11):

@@ -65,6 +65,17 @@ class TestKpConfig:
         with pytest.raises(ValueError, match=name):
             KpConfig.create(*args)
 
+    @pytest.mark.parametrize("ell_p", [1e-320, 5e-324, 1.1e-308])
+    def test_ell_p_whose_step_scale_overflows(self, ell_p):
+        # 2/ell_p is inf: every step quaternion of the scan was nan
+        with pytest.raises(ValueError, match="step scale sqrt"):
+            KpConfig(1.0, ell_p, 10)
+        with pytest.raises(ValueError, match="step scale sqrt"):
+            KpConfig.create(1e-300, ell_p, 10)
+        with pytest.raises(ValueError, match="step scale sqrt"):
+            _kp_scan(ell_p, 0.1, np.zeros((1, 10, 2)))
+        assert KpConfig(1.0, 1.12e-308, 10).ell_p == 1.12e-308  # 2/ell_p is finite
+
     def test_default_steps_check_before_dividing(self):
         # a negative ell_p once gave a negative step count, floored to 1000
         with pytest.raises(ValueError, match="ell_p must be positive"):
@@ -78,12 +89,12 @@ class TestKpConfig:
 
 
 class TestBrownianDriver:
-    """``_draw_increments``, the driver of one path."""
+    """``_draw_increments``, the driver of a batch of paths."""
 
     def test_draw_shape_and_variance(self):
         n = 100_000
         cfg = KpConfig(1000.0, 1.0, n)  # h = 0.01
-        increments = _draw_increments(cfg, path_rng(17, 0))
+        (increments,) = _draw_increments(cfg, 1, lambda i: path_rng(17, 0))
         assert increments.shape == (n, 2)
         sample_var = float(np.var(increments, ddof=1))
         # chi-square bound: relative deviation within 5 sigma of the variance estimator
@@ -91,15 +102,17 @@ class TestBrownianDriver:
 
     def test_draw_is_the_bits_of_a_scaled_normal(self):
         # standard normals scaled in place are rng.normal(0, sqrt(h)) bit
-        # for bit, and a given row is filled and returned
+        # for bit, and row i is drawn from its own stream alone
         cfg = KpConfig(1.0, 0.5, 333)
         expected = path_rng(4, 9).normal(0.0, math.sqrt(cfg.h), size=(333, 2))
-        assert np.array_equal(_draw_increments(cfg, path_rng(4, 9)), expected)
-        rows = np.zeros((3, 333, 2))
-        row = rows[1]
-        assert _draw_increments(cfg, path_rng(4, 9), out=row) is row
+        (one,) = _draw_increments(cfg, 1, lambda i: path_rng(4, 9))
+        assert np.array_equal(one, expected)
+        rows = _draw_increments(cfg, 3, lambda i: path_rng(4, 8 + i))
+        assert rows.shape == (3, 333, 2)
         assert np.array_equal(rows[1], expected)
-        assert not rows[0].any() and not rows[2].any()
+        for i in (0, 2):
+            assert np.array_equal(rows[i], path_rng(4, 8 + i).normal(0.0, math.sqrt(cfg.h),
+                                                                      size=(333, 2)))
 
     def test_zeros_driver(self):
         # a zero driver leaves the frame exactly the identity, so every
@@ -187,7 +200,7 @@ class TestSimulateKp:
         # the frame after k = 100, 200, ... steps of one driver: a rotation
         # whose third column is the path's tangent at k
         cfg = KpConfig(1.0, 1.0, 1500)
-        dbeta = _draw_increments(cfg, path_rng(6, 3))[None]
+        dbeta = _draw_increments(cfg, 1, lambda i: path_rng(6, 3))
         path = simulate_kp(cfg, path_rng(6, 3))
         for k in range(100, cfg.n_steps + 1, 100):
             frame = _kp_scan(cfg.ell_p, cfg.h, dbeta[:, :k], want_final_frame=True)[
