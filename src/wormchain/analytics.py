@@ -45,6 +45,15 @@ def _check_nonnegative(name: str, value: float) -> None:
         raise ValueError(f"{name} must be nonnegative, got {value!r}")
 
 
+def _check_finite_value(form: str, value: float, **inputs) -> float:
+    """``value``, closed form ``form`` at ``inputs``, if finite: a length
+    near the float range can overflow the form although each input is finite."""
+    if not math.isfinite(value):
+        at = ", ".join(f"{name}={arg!r}" for name, arg in inputs.items())
+        raise ValueError(f"{form}({at}) overflows to {value!r}")
+    return value
+
+
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
@@ -85,7 +94,7 @@ def kp_tangent_correlation(ell_p: float, s: float, t: float) -> float:
     _check_positive("ell_p", ell_p)
     _check_nonnegative("s", s)
     _check_nonnegative("t", t)
-    return math.exp(-2.0 * abs(t - s) / ell_p)
+    return math.exp(-2.0 * (abs(t - s) / ell_p))  # 2|t - s| alone can overflow
 
 
 def kp_mean_sq_position(ell_p: float, t: float) -> float:
@@ -100,8 +109,10 @@ def kp_mean_sq_position(ell_p: float, t: float) -> float:
     _check_nonnegative("t", t)
     x = t / ell_p
     if x < _MSD_SERIES_CUTOFF:
-        return t * t * (1.0 - x * (2.0 / 3.0 - x * (1.0 / 3.0 - x * (2.0 / 15.0))))
-    return ell_p * t - 0.5 * ell_p * ell_p * (1.0 - math.exp(-2.0 * x))
+        msd = t * t * (1.0 - x * (2.0 / 3.0 - x * (1.0 / 3.0 - x * (2.0 / 15.0))))
+    else:
+        msd = ell_p * t - 0.5 * ell_p * ell_p * (1.0 - math.exp(-2.0 * x))
+    return _check_finite_value("kp_mean_sq_position", msd, ell_p=ell_p, t=t)
 
 
 def hard_rod_fluctuation_cov(s: float, t: float) -> float:
@@ -117,7 +128,8 @@ def hard_rod_fluctuation_cov(s: float, t: float) -> float:
     _check_nonnegative("s", s)
     _check_nonnegative("t", t)
     lo, hi = (s, t) if s <= t else (t, s)
-    return lo * lo * (3.0 * hi - lo) / 6.0
+    cov = lo * lo * (3.0 * hi - lo) / 6.0
+    return _check_finite_value("hard_rod_fluctuation_cov", cov, s=s, t=t)
 
 
 def random_coil_cov(s: float, t: float) -> float:

@@ -39,7 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import _CSV_BLOCK_ROWS, _adopt, _check_count, _check_positive, _freeze, _is_int
+from .analytics import (_CSV_BLOCK_ROWS, _adopt, _check_count, _check_finite_value,
+                        _check_positive, _freeze, _is_int)
 from .so3 import frame_scan, segment_plan
 
 __all__ = [
@@ -294,7 +295,11 @@ def frc_msd_oracle(cfg: FrcConfig) -> float:
     else:
         k = np.arange(1, n, dtype=np.float64)
         total = n + 2.0 * float(np.sum((n - k) * np.power(c, k)))
-    return cfg.bond_length**2 * total
+    try:
+        msd = cfg.bond_length**2 * total
+    except OverflowError:  # a**2 alone overflows
+        msd = math.inf
+    return _check_finite_value("frc_msd_oracle", msd, n_bonds=n, bond_length=cfg.bond_length)
 
 
 def write_chain_csv(chain: DiscreteChain, fileobj) -> None:

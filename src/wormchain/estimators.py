@@ -406,12 +406,6 @@ def _make_report(name: str, estimate: float, stderr: float, oracle: float,
                             float(z), float(threshold), bool(abs(z) <= threshold))
 
 
-def _bound_report(name: str, estimate: float, bound: float, threshold: float,
-                  *, s: float | None = None) -> ComparisonReport:
-    """Deterministic check ``estimate <= bound`` in z-score clothing."""
-    return _make_report(name, max(estimate, 0.0), bound / threshold, 0.0, threshold, s=s)
-
-
 def _info_report(name: str, estimate: float, oracle: float, *, s: float | None = None,
                  t: float | None = None) -> ComparisonReport:
     """Informational row (closed-form vs closed-form); never fails."""
@@ -441,7 +435,8 @@ class _Check:
 
 @dataclass(frozen=True)
 class _Bound:
-    """A deterministic row: ``value(*means of reads) <= bound``."""
+    """A deterministic row: ``value(*means of reads) <= bound``, reported in
+    z-score clothing with the slack ``bound/threshold`` as its stderr."""
 
     name: str
     reads: tuple[Observable, ...]
@@ -449,34 +444,40 @@ class _Bound:
     bound: float
     s: float | None = None
 
-    def report(self, summary: EnsembleSummary, threshold: float) -> ComparisonReport:
+    def report(self, summary: EnsembleSummary | None, threshold: float) -> ComparisonReport:
         value = self.value(*(summary.mean(obs.name) for obs in self.reads))
-        return _bound_report(self.name, value, self.bound, threshold, s=self.s)
+        return _make_report(self.name, max(value, 0.0), self.bound / threshold, 0.0, threshold,
+                            s=self.s)
 
 
-def _run_rows(model, n_paths: int, seed: int, rows, threshold: float,
+def _run_rows(groups, n_paths: int, seed: int, threshold: float,
               workers: int) -> list[ComparisonReport]:
-    """Run one ensemble over what ``rows`` read and report the rows in order.
+    """Report the rows of ``groups``, a sequence of ``(model, rows)``, in order.
 
     A row is a :class:`_Check`, a :class:`_Bound` or a finished
-    closed-form :class:`ComparisonReport`.  Rows whose arclengths snapped
-    onto one grid point share a name; each name is reported once, first
-    row first.  A run with a :class:`_Check` row needs at least
-    ``_MIN_Z_TEST_PATHS`` paths.
+    closed-form :class:`ComparisonReport`.  Each group whose rows read an
+    observable runs one ensemble of ``model`` over what they read, with the
+    same ``n_paths`` and ``seed``; a group that reads nothing runs none.
+    Rows whose arclengths snapped onto one grid point share a name; each
+    name is reported once, first row first.  The threshold, and the
+    ``_MIN_Z_TEST_PATHS`` paths that a :class:`_Check` row needs, are
+    checked before any group runs.
     """
     _check_threshold(threshold)
-    if any(isinstance(row, _Check) for row in rows):
+    if any(isinstance(row, _Check) for _, rows in groups for row in rows):
         _check_n_paths(n_paths, _MIN_Z_TEST_PATHS)
-    observables: dict[str, Observable] = {}
-    for row in rows:
-        if not isinstance(row, ComparisonReport):
-            for obs in row.reads:
-                observables.setdefault(obs.name, obs)
-    summary = run_ensemble(model, n_paths, observables.values(), seed, workers=workers)
     reports: dict[str, ComparisonReport] = {}
-    for row in rows:
-        report = row if isinstance(row, ComparisonReport) else row.report(summary, threshold)
-        reports.setdefault(report.observable, report)
+    for model, rows in groups:
+        observables: dict[str, Observable] = {}
+        for row in rows:
+            if not isinstance(row, ComparisonReport):
+                for obs in row.reads:
+                    observables.setdefault(obs.name, obs)
+        summary = (run_ensemble(model, n_paths, observables.values(), seed, workers=workers)
+                   if observables else None)
+        for row in rows:
+            report = row if isinstance(row, ComparisonReport) else row.report(summary, threshold)
+            reports.setdefault(report.observable, report)
     return list(reports.values())
 
 
@@ -544,7 +545,7 @@ def kp_correlation_suite(cfg: KpConfig, n_paths: int, seed: int, *,
         length = cfg.contour_length
         s_values = (length / 4.0, length / 2.0, length)
     rows = [_tangent_check(cfg, 0.0, s) for s in s_values]
-    return _run_rows(cfg, n_paths, seed, rows, threshold, workers)
+    return _run_rows([(cfg, rows)], n_paths, seed, threshold, workers)
 
 
 def kp_msd_suite(cfg: KpConfig, n_paths: int, seed: int, *,
@@ -555,7 +556,7 @@ def kp_msd_suite(cfg: KpConfig, n_paths: int, seed: int, *,
         length = cfg.contour_length
         t_values = (length / 2.0, length)
     rows = [_msd_check(cfg, t) for t in t_values]
-    return _run_rows(cfg, n_paths, seed, rows, threshold, workers)
+    return _run_rows([(cfg, rows)], n_paths, seed, threshold, workers)
 
 
 def frc_reference_suite(cfg: FrcConfig, n_paths: int, seed: int, *,
@@ -581,19 +582,7 @@ def frc_reference_suite(cfg: FrcConfig, n_paths: int, seed: int, *,
     if include_symmetry:
         rows += [_Check(Observable(f"frc-mean{label}[n={n}]", "coord", (axis, n)), 0.0, t=length)
                  for axis, label in ((0, "x"), (1, "y"))]
-    return _run_rows(cfg, n_paths, seed, rows, threshold, workers)
-
-
-def _monotone_gap_report(name: str, gap_rows: tuple[ComparisonReport, ...],
-                         threshold: float) -> ComparisonReport:
-    """The gaps ``|estimate - oracle|`` of ``gap_rows``, in order, must be
-    non-increasing up to 10% of the smallest gap."""
-    gaps = [abs(row.estimate - row.oracle) for row in gap_rows]
-    violation = 0.0
-    for previous, current in zip(gaps, gaps[1:]):
-        violation = max(violation, current - previous)
-    slack = 0.1 * min(gaps)
-    return _bound_report(name, violation, slack, threshold)
+    return _run_rows([(cfg, rows)], n_paths, seed, threshold, workers)
 
 
 def convergence_table(contour_length: float, kappa: float, n_list, n_paths: int,
@@ -608,7 +597,9 @@ def convergence_table(contour_length: float, kappa: float, n_list, n_paths: int,
     gap between the chain oracles and the continuum closed forms with
     ``ell_p = 2L/kappa^2``; per-quantity rows then check that the gap is
     monotone non-increasing in N (up to 10% of the smallest gap).  The
-    ladder ``n_list`` must strictly increase from N >= 2.
+    ladder ``n_list`` must strictly increase from N >= 2.  The suite is one
+    group of rows per N, and a last group of the monotone rows, which read
+    no observable, all run by one runner.
     """
     cfgs = [FrcConfig.scaled(n, contour_length, kappa) for n in n_list]
     n_list = [cfg.n_bonds for cfg in cfgs]
@@ -618,9 +609,7 @@ def convergence_table(contour_length: float, kappa: float, n_list, n_paths: int,
     if math.isinf(ell_p):  # kappa**2 underflows to 0, or 2L/kappa**2 overflows
         raise ValueError(f"ell_p = 2L/kappa^2 overflows for L = {contour_length!r}, "
                          f"kappa = {kappa!r}")
-    gap_rows: list[list[ComparisonReport]] = []  # per N: its kp-gap rows, in row order
-    reports: list[ComparisonReport] = []
-
+    groups = []
     for n, cfg in zip(n_list, cfgs):
         rows = []
         for f in fractions:
@@ -637,14 +626,20 @@ def convergence_table(contour_length: float, kappa: float, n_list, n_paths: int,
         rows.append(_Check(Observable(f"frc-msd[N={n}]", "path_msd", (n,)), frc_msd,
                            t=cfg.contour_length))
         rows.append(_info_report(f"kp-gap-msd[N={n}]", frc_msd, kp_msd, t=cfg.contour_length))
-        gap_rows.append([row for row in rows if isinstance(row, ComparisonReport)])
-        reports += _run_rows(cfg, n_paths, seed, rows, threshold, workers)
+        groups.append((cfg, rows))
 
+    monotone = []
     if len(n_list) >= 2:
+        # per quantity, the gaps |estimate - oracle| of its kp-gap rows in N
+        # order; the largest rise from one N to the next is the violation
         names = [f"gap-monotone-corr[f={f}]" for f in fractions] + ["gap-monotone-msd"]
-        reports += [_monotone_gap_report(name, column, threshold)
-                    for name, column in zip(names, zip(*gap_rows))]
-    return reports
+        columns = zip(*([row for row in rows if isinstance(row, ComparisonReport)]
+                        for _, rows in groups))
+        for name, column in zip(names, columns):
+            gaps = [abs(row.estimate - row.oracle) for row in column]
+            violation = max([0.0] + [later - earlier for earlier, later in zip(gaps, gaps[1:])])
+            monotone.append(_Bound(name, (), functools.partial(float, violation), 0.1 * min(gaps)))
+    return _run_rows(groups + [(None, monotone)], n_paths, seed, threshold, workers)
 
 
 def _diagnostics_config(contour_length: float, ell_p: float, n_steps, n_paths: int,
@@ -694,7 +689,7 @@ def hard_rod_diagnostics(ell_p: float, contour_length: float, n_paths: int,
         warnings.warn(
             f"hard-rod diagnostics expect ell_p >= 100*L; got ell_p={ell_p!r}, L={contour_length!r}",
             RuntimeWarning, stacklevel=2)
-    return _run_rows(cfg, n_paths, seed, rows, threshold, workers)
+    return _run_rows([(cfg, rows)], n_paths, seed, threshold, workers)
 
 
 def random_coil_diagnostics(ell_p: float, contour_length: float, n_paths: int,
@@ -739,7 +734,7 @@ def random_coil_diagnostics(ell_p: float, contour_length: float, n_paths: int,
         warnings.warn(
             f"random-coil diagnostics expect ell_p <= L/100; got ell_p={ell_p!r}, L={contour_length!r}",
             RuntimeWarning, stacklevel=2)
-    return _run_rows(cfg, n_paths, seed, rows, threshold, workers)
+    return _run_rows([(cfg, rows)], n_paths, seed, threshold, workers)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,11 @@ class TestTangentCorrelation:
     def test_rod_limit(self):
         assert kp_tangent_correlation(1e12, 0.0, 1.0) == pytest.approx(1.0, abs=1e-11)
 
+    def test_gap_near_the_float_range_divides_first(self):
+        # 2|t - s| = 2e308 overflows, so multiplying before dividing read 0.0
+        assert kp_tangent_correlation(2e307, 0.0, 1e308) == pytest.approx(math.exp(-10.0),
+                                                                           rel=1e-15)
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             kp_tangent_correlation(0.0, 0.0, 1.0)
@@ -76,6 +81,14 @@ class TestMeanSqPosition:
             0.0, t, 0.0, lambda v: v, epsabs=1e-12, epsrel=1e-12)
         assert err < 1e-9
         assert kp_mean_sq_position(ell_p, t) == pytest.approx(2.0 * value, abs=1e-8)
+
+    @pytest.mark.parametrize("ell_p, t", [
+        (1e308, 5e307),  # ell_p * t overflows: inf - inf read nan
+        (1e205, 1e200),  # the series branch: t * t overflows to inf
+    ])
+    def test_value_that_overflows_is_rejected(self, ell_p, t):
+        with pytest.raises(ValueError, match=r"kp_mean_sq_position\(ell_p=.*\) overflows"):
+            kp_mean_sq_position(ell_p, t)
 
 
 class TestHardRodFluctuationCov:
@@ -140,6 +153,11 @@ class TestHardRodFluctuationCov:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             hard_rod_fluctuation_cov(-1.0, 1.0)
+
+    def test_value_that_overflows_is_rejected(self):
+        # s^3/3 at s = 1e300 once read inf, an oracle no estimate can meet
+        with pytest.raises(ValueError, match=r"hard_rod_fluctuation_cov\(s=1e\+300, t=1e\+300"):
+            hard_rod_fluctuation_cov(1e300, 1e300)
 
 
 class TestRandomCoilCov:

@@ -357,6 +357,14 @@ class TestMsdOracle:
         closed = n * (1 + c) / (1 - c) - 2 * c * (1 - c**n) / (1 - c) ** 2
         assert frc_msd_oracle(cfg) == pytest.approx(closed, rel=1e-10)
 
+    @pytest.mark.parametrize("cfg", [
+        FrcConfig.scaled(10, 1e300, math.sqrt(2.0)),  # a**2 raised OverflowError
+        FrcConfig.raw(10, 1e154, 0.1),                # a**2 is finite, a**2 * sum is not
+    ], ids=["square", "sum"])
+    def test_value_that_overflows_is_rejected(self, cfg):
+        with pytest.raises(ValueError, match=r"frc_msd_oracle\(n_bonds=10, .*\) overflows to inf"):
+            frc_msd_oracle(cfg)
+
 
 class TestMonteCarloAgainstOracles:
     """Sampled chains must reproduce the exact oracles statistically."""

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from wormchain import cli
+from wormchain import cli, estimators
 from wormchain.cli import main
 from wormchain.estimators import (estimate_tangent_correlation, run_ensemble,
                                   tangent_dot_observable, write_reports_csv)
@@ -167,14 +167,31 @@ class TestVerify:
         assert any(r["observable"].startswith("kp-gap-corr[N=8") for r in rows)
         assert any(r["observable"].startswith("gap-monotone") for r in rows)
 
-    def test_worker_count_does_not_change_bytes(self, tmp_path):
+    @pytest.mark.parametrize("suite, args, budget", [
+        ("correlation", ("--n-steps", 200, "--n-paths", 600, "--seed", 21), None),
+        # one group per N: a budget of 31 * 150 doubles puts N = 8 (7 doubles
+        # a chain) in 1 chunk and N = 32 (31 doubles) in 3, of 150, 150 and
+        # 100 paths
+        ("converge", ("--n-list", "8,32", "--n-paths", 400, "--seed", 13), 31 * 150),
+    ], ids=["correlation", "converge"])
+    def test_worker_count_does_not_change_bytes(self, tmp_path, monkeypatch, suite, args,
+                                                budget):
+        if budget is not None:
+            monkeypatch.setattr(estimators, "_CHUNK_BUDGET", budget)
         dir1, dir8 = tmp_path / "w1", tmp_path / "w8"
-        args = ("verify", "--suite", "correlation", "--n-steps", 200,
-                "--n-paths", 600, "--seed", 21)
+        args = ("verify", "--suite", suite, *args)
         assert run_cli(*args, "--workers", 1, "--out-dir", dir1) == 0
         assert run_cli(*args, "--workers", 8, "--out-dir", dir8) == 0
-        assert (dir1 / "report-correlation.csv").read_bytes() == \
-            (dir8 / "report-correlation.csv").read_bytes()
+        assert (dir1 / f"report-{suite}.csv").read_bytes() == \
+            (dir8 / f"report-{suite}.csv").read_bytes()
+
+    def test_correlation_oracle_near_the_float_range(self, tmp_path):
+        # 2|t - s| = 2e308 overflowed, so the row at t = L read oracle 0
+        assert run_cli("verify", "--suite", "correlation", "--contour-length", "1e308",
+                       "--ell-p", "1e308", "--n-paths", 40, "--n-steps", 10, "--seed", 1,
+                       "--out-dir", tmp_path) == 0
+        rows = {r["observable"]: r for r in read_rows(tmp_path / "report-correlation.csv")}
+        assert rows["qq[k1=0,k2=10]"]["oracle"] == repr(math.exp(-2.0)) == "0.1353352832366127"
 
     def test_workers_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("WORMCHAIN_WORKERS", "2")
@@ -405,6 +422,21 @@ class TestBadInput:
                                 "--seed", 1)
         assert err == ("error: ell_p = 1e-320 is too small: "
                        "the step scale sqrt(2/ell_p) overflows\n")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("args, form", [
+        (("converge", "--contour-length", "1e300", "--n-list", "10,20"), "frc_msd_oracle"),
+        (("msd", "--contour-length", "1e308", "--ell-p", "1e308", "--n-steps", 10),
+         "kp_mean_sq_position"),
+        (("hard-rod", "--contour-length", "1e300", "--ell-p", "1e305", "--n-steps", 10,
+          "--grid-points", 1), "hard_rod_fluctuation_cov"),
+    ], ids=["converge", "msd", "hard-rod"])
+    def test_closed_form_that_overflows(self, capsys, tmp_path, args, form):
+        # an OverflowError traceback (converge), or oracle=nan or inf and a
+        # rerun that could not pass (msd, hard-rod)
+        err = self._usage_error(capsys, "verify", "--suite", *args, "--n-paths", 40,
+                                "--seed", 1, "--out-dir", tmp_path)
+        assert err.startswith(f"error: {form}(") and "overflows" in err
         assert not list(tmp_path.iterdir())
 
     def test_negative_seed_in_config_file(self, capsys, tmp_path):
