@@ -5,11 +5,13 @@ continuum path to CSV), ``verify`` (Monte Carlo suites judged against the
 closed forms, with CSV + JSON reports), and ``plotdata`` (tidy long-format
 series for external plotting).
 
-Exit codes: 0 success, 1 I/O failure, 2 usage error, 3 verification failure.
+Exit codes: 0 success, 1 I/O failure or out of memory, 2 bad input (any
+``ValueError``, reported as one ``error:`` line), 3 verification failure.
 A failed verify suite is rerun once with ``seed + 1`` (mod 2**64) before
 being declared red, so a single 4-sigma statistical flake does not fail CI;
-the JSON report keeps every attempt (seed, pass, wall time, rows) under
-``attempts``.
+a suite whose failed rows are all unsampled (closed-form rows, which no
+seed can change) is not rerun.  The JSON report keeps every attempt (seed,
+pass, wall time, rows) under ``attempts``.
 """
 from __future__ import annotations
 
@@ -81,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     frc.add_argument("--kappa", type=float)
     frc.add_argument("--seed", type=int, required=True)
     frc.add_argument("--out", required=True)
-    frc.set_defaults(func=_cmd_simulate_frc)
+    frc.set_defaults(func=_cmd_simulate)
 
     kp = sub.add_parser("simulate-kp", help="simulate one continuum path to CSV")
     kp.add_argument("--contour-length", type=float, required=True)
@@ -89,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     kp.add_argument("--n-steps", type=int)
     kp.add_argument("--seed", type=int, required=True)
     kp.add_argument("--out", required=True)
-    kp.set_defaults(func=_cmd_simulate_kp)
+    kp.set_defaults(func=_cmd_simulate)
 
     verify = sub.add_parser("verify", help="run Monte Carlo verification suites")
     verify.add_argument("--suite", required=True, choices=SUITES + ("all",))
@@ -107,39 +109,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_simulate_frc(args) -> int:
-    raw = args.bond_length is not None or args.bond_angle is not None
-    scaled = args.contour_length is not None or args.kappa is not None
-    if raw == scaled:
-        raise _UsageError("give either --bond-length with --bond-angle, "
-                          "or --contour-length with --kappa")
-    try:
+def _cmd_simulate(args) -> int:
+    if args.command == "simulate-kp":
+        cfg = KpConfig.create(args.contour_length, args.ell_p, args.n_steps)
+        sample, write = simulate_kp, write_path_csv
+    else:
+        raw = args.bond_length is not None or args.bond_angle is not None
+        scaled = args.contour_length is not None or args.kappa is not None
+        if raw == scaled:
+            raise ValueError("give either --bond-length with --bond-angle, "
+                             "or --contour-length with --kappa")
         if raw:
             if args.bond_length is None or args.bond_angle is None:
-                raise _UsageError("--bond-length and --bond-angle must be given together")
+                raise ValueError("--bond-length and --bond-angle must be given together")
             cfg = FrcConfig.raw(args.n_bonds, args.bond_length, args.bond_angle)
         else:
             if args.contour_length is None or args.kappa is None:
-                raise _UsageError("--contour-length and --kappa must be given together")
+                raise ValueError("--contour-length and --kappa must be given together")
             cfg = FrcConfig.scaled(args.n_bonds, args.contour_length, args.kappa)
-        rng = path_rng(args.seed, 0)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-    chain = sample_frc(cfg, rng)
+        sample, write = sample_frc, write_chain_csv
+    record = sample(cfg, path_rng(args.seed, 0))
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        write_chain_csv(chain, fh)
-    return 0
-
-
-def _cmd_simulate_kp(args) -> int:
-    try:
-        cfg = KpConfig.create(args.contour_length, args.ell_p, args.n_steps)
-        rng = path_rng(args.seed, 0)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-    path = simulate_kp(cfg, rng)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        write_path_csv(path, fh)
+        write(record, fh)
     return 0
 
 
@@ -148,14 +139,14 @@ def _read_config_file(path: str) -> dict[str, str]:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
-        raise _UsageError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
     values: dict[str, str] = {}
     for lineno, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
         if "=" not in text:
-            raise _UsageError(f"{path}:{lineno}: expected 'key = value', got {line.rstrip()!r}")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line.rstrip()!r}")
         key, _, value = text.partition("=")
         values[key.strip().replace("-", "_")] = value.strip()
     return values
@@ -171,25 +162,25 @@ def _resolve_params(args, suite: str) -> dict:
             if key == "suite":
                 continue
             if key not in _PARAM_TYPES:
-                raise _UsageError(f"unknown config key {key!r}")
+                raise ValueError(f"unknown config key {key!r}")
             try:
                 params[key] = _PARAM_TYPES[key](text)
             except ValueError as exc:
-                raise _UsageError(f"bad value for config key {key!r}: {text!r}") from exc
+                raise ValueError(f"bad value for config key {key!r}: {text!r}") from exc
     for key in _PARAM_TYPES:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             params[key] = flag_value
     if params["seed"] is None:
-        raise _UsageError("--seed is required (flag or config file)")
+        raise ValueError("--seed is required (flag or config file)")
     if params["workers"] is None:
         text = os.environ.get("WORMCHAIN_WORKERS", "1")
         try:
             params["workers"] = int(text)
         except ValueError as exc:
-            raise _UsageError(f"WORMCHAIN_WORKERS must be an integer, got {text!r}") from exc
+            raise ValueError(f"WORMCHAIN_WORKERS must be an integer, got {text!r}") from exc
     if params["workers"] < 1:
-        raise _UsageError(f"workers must be at least 1, got {params['workers']}")
+        raise ValueError(f"workers must be at least 1, got {params['workers']}")
     return params
 
 
@@ -197,9 +188,9 @@ def _parse_n_list(text) -> list[int]:
     try:
         values = [int(part) for part in str(text).split(",") if part.strip()]
     except ValueError as exc:
-        raise _UsageError(f"bad --n-list {text!r}") from exc
+        raise ValueError(f"bad --n-list {text!r}") from exc
     if not values:
-        raise _UsageError(f"bad --n-list {text!r}")
+        raise ValueError(f"bad --n-list {text!r}")
     return values
 
 
@@ -226,20 +217,17 @@ def _cmd_verify(args) -> int:
     for suite in suites:
         params = _resolve_params(args, suite)
         attempts = []
-        try:
-            # one-rerun flake policy: a fresh seed decides; two failures = red.
-            # The fresh seed is the next one; the top of the key range wraps to 0
-            for seed in (params["seed"], (params["seed"] + 1) % (1 << 64)):
-                started = time.perf_counter()
-                reports = _run_suite(suite, params, seed)
-                attempts.append({"seed": seed, "passed": all(r.passed for r in reports),
-                                 "wall_time_s": time.perf_counter() - started,
-                                 "reports": reports_to_dicts(reports)})
-                if attempts[-1]["passed"]:
-                    break
-        except ValueError as exc:
-            # the suites validate their parameters before any sampling
-            raise _UsageError(str(exc)) from exc
+        # one-rerun flake policy: a fresh seed decides; two failures = red.
+        # The fresh seed is the next one; the top of the key range wraps to 0.
+        # A failure that no seed can change (unsampled rows only) is final
+        for seed in (params["seed"], (params["seed"] + 1) % (1 << 64)):
+            started = time.perf_counter()
+            reports = _run_suite(suite, params, seed)
+            attempts.append({"seed": seed, "passed": all(r.passed for r in reports),
+                             "wall_time_s": time.perf_counter() - started,
+                             "reports": reports_to_dicts(reports)})
+            if all(r.passed or not r.sampled for r in reports):
+                break
         wall = sum(a["wall_time_s"] for a in attempts)
 
         for report in reports:
@@ -297,13 +285,13 @@ def _cmd_plotdata(args) -> int:
         try:
             fields = next(reader, [])
         except (ValueError, csv.Error) as exc:  # e.g. its first block does not decode
-            raise _UsageError(f"{args.report}: {exc}") from exc
+            raise ValueError(f"{args.report}: {exc}") from exc
         path_file = bool(fields) and fields[0] in ("s", "n") and "observable" not in fields
         if fields and not path_file and not _REPORT_COLUMNS <= set(fields):
-            raise _UsageError(f"{args.report} is neither a report nor a path CSV "
-                              f"(columns {', '.join(fields)})")
+            raise ValueError(f"{args.report} is neither a report nor a path CSV "
+                             f"(columns {', '.join(fields)})")
         if os.path.exists(args.out) and os.path.samefile(args.report, args.out):
-            raise _UsageError(f"--out {args.out} is the --report file; writing would destroy it")
+            raise ValueError(f"--out {args.out} is the --report file; writing would destroy it")
         first_line = [1]
         rows = _table_rows(reader, len(fields), first_line)
         with open(args.out, "w", encoding="utf-8", newline="") as dst:
@@ -321,8 +309,8 @@ def _cmd_plotdata(args) -> int:
                         writer.writerows(_report_plot_rows(dict(zip(fields, row))))
             except (ValueError, csv.Error) as exc:
                 dst.close()
-                os.remove(args.out)  # a usage error leaves no partial output
-                raise _UsageError(f"{args.report}, line {first_line[0]}: {exc}") from exc
+                os.remove(args.out)  # bad input leaves no partial output
+                raise ValueError(f"{args.report}, line {first_line[0]}: {exc}") from exc
     return 0
 
 
@@ -399,10 +387,6 @@ def _report_plot_rows(row: dict) -> list[list[str]]:
             [f"{series}:oracle", repr(x), repr(oracle), repr(oracle), repr(oracle)]]
 
 
-class _UsageError(Exception):
-    pass
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -411,7 +395,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _UsageError as exc:
+    except ValueError as exc:  # bad input, wherever it is found
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

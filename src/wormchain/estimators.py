@@ -370,7 +370,8 @@ class ComparisonReport:
     threshold`` with ``z = (estimate - oracle)/stderr`` (zero when the
     estimate is deterministic and exact).  Deterministic bound checks encode
     their slack as ``stderr = bound/threshold``; informational rows carry
-    ``threshold = inf`` and always pass.
+    ``threshold = inf`` and always pass.  ``sampled`` is false for a row
+    that reads no Monte Carlo mean, whose verdict no seed can change.
     """
 
     observable: str
@@ -382,6 +383,7 @@ class ComparisonReport:
     z_score: float
     threshold: float
     passed: bool
+    sampled: bool = True
 
 
 # Observables that are deterministic up to float roundoff (e.g. the lag-1
@@ -394,7 +396,7 @@ _STDERR_FLOOR = 2.5e-13
 
 def _make_report(name: str, estimate: float, stderr: float, oracle: float,
                  threshold: float, *, s: float | None = None,
-                 t: float | None = None) -> ComparisonReport:
+                 t: float | None = None, sampled: bool = True) -> ComparisonReport:
     if stderr > 0.0:
         stderr = max(stderr, _STDERR_FLOOR)
         z = (estimate - oracle) / stderr
@@ -403,13 +405,13 @@ def _make_report(name: str, estimate: float, stderr: float, oracle: float,
     else:
         z = math.copysign(math.inf, estimate - oracle)
     return ComparisonReport(name, s, t, float(estimate), float(stderr), float(oracle),
-                            float(z), float(threshold), bool(abs(z) <= threshold))
+                            float(z), float(threshold), bool(abs(z) <= threshold), sampled)
 
 
 def _info_report(name: str, estimate: float, oracle: float, *, s: float | None = None,
                  t: float | None = None) -> ComparisonReport:
     """Informational row (closed-form vs closed-form); never fails."""
-    return _make_report(name, estimate, 0.0, oracle, math.inf, s=s, t=t)
+    return _make_report(name, estimate, 0.0, oracle, math.inf, s=s, t=t, sampled=False)
 
 
 @dataclass(frozen=True)
@@ -447,7 +449,7 @@ class _Bound:
     def report(self, summary: EnsembleSummary | None, threshold: float) -> ComparisonReport:
         value = self.value(*(summary.mean(obs.name) for obs in self.reads))
         return _make_report(self.name, max(value, 0.0), self.bound / threshold, 0.0, threshold,
-                            s=self.s)
+                            s=self.s, sampled=bool(self.reads))
 
 
 def _run_rows(groups, n_paths: int, seed: int, threshold: float,

@@ -489,6 +489,20 @@ class TestBadInput:
         assert "n_bonds asks for 1.000e+400 steps" in err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("command, sampler", [
+        (("simulate-frc", "--n-bonds", 4, "--contour-length", 1, "--kappa", 1), "sample_frc"),
+        (("simulate-kp", "--contour-length", 1, "--ell-p", 1), "simulate_kp"),
+    ], ids=["simulate-frc", "simulate-kp"])
+    def test_value_error_from_a_sampler(self, capsys, tmp_path, monkeypatch, command, sampler):
+        # main alone turns a ValueError into exit 2, wherever it is raised
+        def boom(cfg, rng):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(f"wormchain.cli.{sampler}", boom)
+        err = self._usage_error(capsys, *command, "--seed", 1, "--out", tmp_path / "out.csv")
+        assert err == "error: boom\n"
+        assert not (tmp_path / "out.csv").exists()
+
     def test_out_of_memory_is_one_error_line(self, capsys, tmp_path, monkeypatch):
         # stands in for a grid that fits numpy's index range but not memory,
         # such as --ell-p 1e-12 (1e14 steps); no test allocates one
@@ -584,6 +598,18 @@ class TestAttempts:
         assert code == 3
         summary = json.loads((tmp_path / "report-correlation.json").read_text())
         assert [a["seed"] for a in summary["attempts"]] == [top, 0]
+
+    def test_failure_no_seed_can_change_is_not_rerun(self, tmp_path):
+        # only the closed-form row gap-monotone-corr[f=0.25] fails, at
+        # z = +7.37; a rerun at seed 2 once failed it at the same z
+        code = run_cli("verify", "--suite", "converge", "--n-list", "10,20", "--n-paths", 40,
+                       "--seed", 1, "--out-dir", tmp_path)
+        assert code == 3
+        summary = json.loads((tmp_path / "report-converge.json").read_text())
+        assert [(a["seed"], a["passed"]) for a in summary["attempts"]] == [(1, False)]
+        failed = [r for r in summary["reports"] if not r["pass"]]
+        assert [(r["observable"], r["sampled"]) for r in failed] == \
+            [("gap-monotone-corr[f=0.25]", False)]
 
     def test_first_pass_is_the_only_attempt(self, tmp_path):
         assert run_cli("verify", "--suite", "correlation", "--n-steps", 100,

@@ -432,6 +432,17 @@ class TestComparisonReports:
         r2 = estimate_tangent_correlation(summary, 0.0, 0.5)
         assert r2.oracle == pytest.approx(0.3678794, abs=1e-7)
 
+    def test_only_rows_that_read_a_mean_are_sampled(self):
+        # an unsampled row's verdict is the same at every seed
+        reports = {r.observable: r for r in convergence_table(1.0, math.sqrt(2), [4, 16], 30,
+                                                              seed=1, fractions=(1.0,))}
+        assert reports["frc-corr[N=4,k=3]"].sampled
+        assert not reports["kp-gap-corr[N=4,f=1.0]"].sampled
+        assert not reports["gap-monotone-corr[f=1.0]"].sampled
+        rod = {r.observable: r for r in hard_rod_diagnostics(1.0e4, 1.0, 30, 1, seed=0,
+                                                             n_steps=50)}
+        assert rod["rodsup"].sampled
+
     def test_snapping_is_reported(self):
         cfg = KpConfig(1.0, 1.0, 10)
         summary = run_ensemble(cfg, 8, (tangent_dot_observable(cfg, 0.0, 0.333),), seed=4)
