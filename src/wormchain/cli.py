@@ -276,10 +276,15 @@ _REPORT_COLUMNS = {"observable", "s", "t", "estimate", "stderr", "oracle"}
 
 
 def _cmd_plotdata(args) -> int:
-    import csv
-    from itertools import islice
+    """Tidy series (``series,x,y,y_lo,y_hi``) from a report or path CSV.
 
-    # one row in, its rows out: memory stays flat however long the input
+    It reads one record at a time and writes its lines in blocks of
+    ``_CSV_BLOCK_ROWS``, so memory stays flat however long the input.  A bad
+    record names the line it starts on and leaves no ``--out`` file.
+    """
+    import csv
+    from types import SimpleNamespace
+
     with open(args.report, "r", encoding="utf-8", newline="") as src:
         reader = csv.reader(src)
         try:
@@ -292,71 +297,53 @@ def _cmd_plotdata(args) -> int:
                              f"(columns {', '.join(fields)})")
         if os.path.exists(args.out) and os.path.samefile(args.report, args.out):
             raise ValueError(f"--out {args.out} is the --report file; writing would destroy it")
-        first_line = [1]
-        rows = _table_rows(reader, len(fields), first_line)
+        block: list[str] = []
+        writer = csv.writer(SimpleNamespace(write=block.append), lineterminator="\n")
+        writer.writerows([name, ""] for name in fields[1:])
+        prefixes = [text[:-1] for text in block]  # each path column's quoted name and comma
+        block.clear()
+        writer.writerow(["series", "x", "y", "y_lo", "y_hi"])
+        line = reader.line_num + 1  # the first line of the next record
         with open(args.out, "w", encoding="utf-8", newline="") as dst:
-            writer = csv.writer(dst, lineterminator="\n")
-            writer.writerow(["series", "x", "y", "y_lo", "y_hi"])
             try:
-                if path_file:
-                    # rows are formatted lazily, so a bad row stops the
-                    # writes at its own line; one write per block of rows
-                    lines = map(_path_plot_lines(fields), rows)
-                    for block in iter(lambda: list(islice(lines, _CSV_BLOCK_ROWS)), []):
-                        dst.write("".join(block))
-                else:
-                    for row in rows:
-                        writer.writerows(_report_plot_rows(dict(zip(fields, row))))
+                for row in reader:
+                    if row:  # a blank line holds no record
+                        if len(row) != len(fields):
+                            raise ValueError(f"expected {len(fields)} cells, got {len(row)}")
+                        if path_file:
+                            block.extend(_path_plot_lines(prefixes, row))
+                        else:
+                            writer.writerows(_report_plot_rows(dict(zip(fields, row))))
+                        if len(block) >= _CSV_BLOCK_ROWS:
+                            dst.write("".join(block))
+                            block.clear()
+                    line = reader.line_num + 1
+                dst.write("".join(block))
             except (ValueError, csv.Error) as exc:
                 dst.close()
                 os.remove(args.out)  # bad input leaves no partial output
-                raise ValueError(f"{args.report}, line {first_line[0]}: {exc}") from exc
+                raise ValueError(f"{args.report}, line {line}: {exc}") from exc
     return 0
 
 
-def _table_rows(reader, width: int, first_line: list[int]):
-    """The nonblank rows of ``reader``; each must hold ``width`` cells.
-
-    ``first_line[0]`` is kept at the first line of the record read last, so
-    an error names where its record starts, not the last line of a quoted
-    cell that spans lines.
-    """
-    first_line[0] = reader.line_num + 1
-    for row in reader:
-        if row:  # a blank line holds no row
-            if len(row) != width:
-                raise ValueError(f"expected {width} cells, got {len(row)}")
-            yield row
-        first_line[0] = reader.line_num + 1
-
-
-def _path_plot_lines(fields: list[str]):
+def _path_plot_lines(prefixes: list[str], row: list[str]) -> list[str]:
     """Plot lines of one path-file row: ``column,x,y,y,y`` for each nonempty
-    cell after the first, with x the first cell.
+    cell after the first, with x the first cell; ``prefixes`` holds each
+    column name after the first, as ``csv.writer`` quotes it, and its comma.
 
-    Every nonempty cell must be a number without a line break, so the cells
-    need no CSV quoting; each column name is quoted once, as ``csv.writer``
-    quotes it.
+    x and every other nonempty cell must be an ASCII number without ``_``
+    or a line break: it needs no CSV quoting, and any CSV reader reads the
+    number that ``float`` reads.
     """
-    import csv
-    import io
-
-    prefixes = []
-    for name in fields[1:]:
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerow([name, ""])
-        prefixes.append(buf.getvalue()[:-1])  # the quoted name and its comma
-
-    def lines(row: list[str]) -> str:
-        text = ",".join(row)
-        if "\n" in text or "\r" in text:
-            raise ValueError("a cell holds a line break")
-        list(map(float, filter(None, row)))  # raises on the first cell that is no number
-        x = row[0]
-        return "".join([f"{prefix}{x},{y},{y},{y}\n"
-                        for prefix, y in zip(prefixes, row[1:]) if y])
-
-    return lines
+    text = ",".join(row)
+    if "\n" in text or "\r" in text:
+        raise ValueError("a cell holds a line break")
+    if "_" in text or not text.isascii():
+        cell = next(cell for cell in row if "_" in cell or not cell.isascii())
+        raise ValueError(f"{cell!r} is not an ASCII number without '_'")
+    list(map(float, [row[0], *filter(None, row[1:])]))  # raises on the first that is no number
+    x = row[0]
+    return [f"{prefix}{x},{y},{y},{y}\n" for prefix, y in zip(prefixes, row[1:]) if y]
 
 
 def _report_plot_rows(row: dict) -> list[list[str]]:

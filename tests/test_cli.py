@@ -687,7 +687,8 @@ class TestRecordedPaths:
 
 class TestPlotdata:
     @pytest.mark.parametrize("name", ["report-converge", "report-correlation",
-                                      "report-hard-rod", "chain", "path"])
+                                      "report-hard-rod", "report-msd", "report-random-coil",
+                                      "chain", "path"])
     def test_output_is_byte_identical_to_recorded(self, tmp_path, name):
         # the .plot.csv files were written by the earlier whole-file version
         # of plotdata; reading and writing row by row must not change a byte
@@ -816,12 +817,18 @@ class TestPlotdata:
         ('n,x\n0,"\r1.0"\n', 2, "line break"),
         ('n,x\n\n0,1.0\n1,"2.0\n\n3.0"\n', 4, "line break"),
         ("observable,s,t,estimate,stderr,oracle,z,pass\nqq,0.0,0.5\n", 2, "expected 8 cells"),
+        ("s,Qx\n0.0,1_0\n", 2, "'1_0'"),
+        ("s,Qx\n0.0,\u0661\u0662\n", 2, "'\u0661\u0662'"),
+        ("s,Qx\n0.0,1.0\n0_5,2.0\n", 3, "'0_5'"),
+        ("s,Qx\n0.0,1.0\n,2.0\n", 3, "''"),
     ], ids=["short-row", "not-a-number", "long-row", "newline", "carriage-return",
-            "after-blank-line", "short-report-row"])
+            "after-blank-line", "short-report-row", "underscore", "non-ascii-digits",
+            "bad-x-cell", "empty-x-cell"])
     def test_malformed_rows_are_usage_errors(self, tmp_path, capsys, text, line, message):
-        # a short row, a cell that is no number and a number holding a line
-        # break were once written through, and a short report row crashed;
-        # the error names the line its record starts on
+        # a short row, a cell that is no number, a number holding a line
+        # break, a number that float() reads but other CSV readers do not and
+        # an empty x were once written through, and a short report row
+        # crashed; the error names the line its record starts on
         bad = tmp_path / "bad.csv"
         bad.write_text(text, newline="")
         out = tmp_path / "out.csv"
@@ -830,6 +837,26 @@ class TestPlotdata:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert f"line {line}:" in err and message in err
         assert not out.exists()
+
+    def test_path_of_several_blocks_matches_a_row_by_row_writer(self, tmp_path):
+        # 5,001 rows make 30,006 plot lines, written in several blocks; the
+        # reference is built one csv.writer row at a time
+        path_csv = tmp_path / "path.csv"
+        assert run_cli("simulate-kp", "--contour-length", 1, "--ell-p", 1,
+                       "--n-steps", 5000, "--seed", 9, "--out", path_csv) == 0
+        with open(path_csv, newline="", encoding="utf-8") as fh:
+            fields, *rows = csv.reader(fh)
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["series", "x", "y", "y_lo", "y_hi"])
+            for row in rows:
+                for name, y in zip(fields[1:], row[1:]):
+                    writer.writerow([name, row[0], y, y, y])
+        out = tmp_path / "plot.csv"
+        assert run_cli("plotdata", "--report", path_csv, "--out", out) == 0
+        assert out.read_bytes().count(b"\n") == 1 + 30_006
+        assert out.read_bytes() == expected.read_bytes()
 
     @pytest.mark.parametrize("size", [10, 100_000])
     def test_undecodable_input_is_usage_error(self, tmp_path, capsys, size):

@@ -28,16 +28,20 @@ def test_traced_single_path_calls_are_counted(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     runs = {
         ("simulate-kp", "--contour-length", "1", "--ell-p", "1", "--n-steps", "50",
-         "--out", "kp.csv"): ("kp.simulate", "kp.csv"),
+         "--seed", "1", "--out", "kp.csv"): ("kp.simulate", "kp.csv"),
         ("simulate-frc", "--n-bonds", "50", "--contour-length", "1", "--kappa", "1",
-         "--out", "frc.csv"): ("chain.sample", "chain.csv"),
+         "--seed", "1", "--out", "frc.csv"): ("chain.sample", "chain.csv"),
+        ("plotdata", "--report", "kp.csv", "--out", "kp-plot.csv"): ("cli.plotdata",),
     }
     for args, spans in runs.items():
         sidecar = tmp_path / "sidecar.json"
         done = subprocess.run([sys.executable, str(ROOT / "wormbench" / "child.py"),
-                               str(sidecar), "1", *args, "--seed", "1"],
+                               str(sidecar), "1", *args],
                               cwd=tmp_path, env=env, capture_output=True, text=True,
                               timeout=120)
         assert done.returncode == 0, done.stdout + done.stderr
         stats = json.loads(sidecar.read_text())["trace"]["stats"]
         assert {name: stats[name]["calls"] for name in spans} == dict.fromkeys(spans, 1)
+    # the last run's rows are its plot lines, read back from the file
+    plot_lines = (tmp_path / "kp-plot.csv").read_text(encoding="utf-8").splitlines()
+    assert stats["cli.plotdata"]["sum"]["rows"] == len(plot_lines) - 1
