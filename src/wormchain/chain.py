@@ -23,9 +23,10 @@ stitched, as described in :mod:`wormchain.so3`.
 
 The scan reads torsions from a block ``(C, B, K)``: ``K`` in-segment steps
 of every chain and every segment, filled as the scan goes by the one torsion
-draw, :func:`_draw_torsions`, each ``(chain, segment)`` run from its place in
-the chain's counter-based stream, so a chunk's draw memory does not grow with
-``N``.  A lone chain's block is its whole row, as in :func:`sample_frc`.
+draw, :func:`_draw_torsions`, each ``(chain, segment)`` run straight from
+its own position in the chain's counter-based stream, in stream order, so a
+chunk's draw memory does not grow with ``N``.  A lone chain's block is its
+whole row, as in :func:`sample_frc`.
 
 A :class:`DiscreteChain`'s arrays are read-only.  Its constructor checks
 and copies what it is given; :func:`sample_frc` adopts the torsions it has
@@ -223,21 +224,16 @@ def _draw_torsions(cfg: FrcConfig, paths: int, seek) -> _Torsions:
     """The torsions of ``C`` chains, drawn a block at a time just ahead of
     the scan: the bits of ``rng.uniform(0.0, 2*pi)``, ``0 + 2*pi * u``.
 
-    ``seek(i, pos)`` is chain ``i``'s stream past its first ``pos`` draws, a
-    multiple of 4.  Each ``(chain, segment)`` run of a block, or a chain's
-    whole row when the block holds every step, is drawn from ``pos - pos %
-    4``, its lead-in landing in the slots just ahead of its slice.  Runs are
-    drawn last chain to first and last segment to first, so a lead-in lands
-    in a 3-double pad in front of the block, in slots drawn later or in
-    slots past the last torsion.  A lone chain's block is its whole row; a
-    block of more holds at most ``_TORSION_BLOCK`` doubles, or one step of
-    every segment when ``C B`` is larger.
+    ``seek(i, pos)`` is chain ``i``'s stream past its first ``pos`` draws.
+    Each ``(chain, segment)`` run of a block, or a chain's whole row when the
+    block holds every step, is drawn from its own stream position straight
+    into its slice.  A lone chain's block is its whole row; a block of more
+    holds at most ``_TORSION_BLOCK`` doubles, or one step of every segment
+    when ``C B`` is larger.
     """
     n_phis = cfg.n_bonds - 1
     segments, span = segment_plan(paths, n_phis)
     width = span if paths == 1 else max(1, min(span, _TORSION_BLOCK // (paths * segments)))
-    row = segments * width
-    flat = np.zeros(3 + paths * row)
 
     def draw(block, j):
         # runs (stream position, place in a chain's row, length): one per
@@ -247,15 +243,14 @@ def _draw_torsions(cfg: FrcConfig, paths: int, seek) -> _Torsions:
         runs = ([(0, 0, n_phis)] if width == span else
                 [(b * span + j, b * width, min(width, span - j, n_phis - b * span - j))
                  for b in range(segments)])
-        # in drawing order, each from its lead-in on: (position, slice of flat)
-        runs = [(pos - pos % 4, 3 + at - pos % 4, 3 + at + count)
-                for pos, at, count in reversed(runs) if count > 0]
-        for i in range(paths - 1, -1, -1):
-            for pos, lo, hi in runs:
-                seek(i, pos).random(out=flat[i * row + lo:i * row + hi])
+        rows = block.reshape(paths, -1)
+        for i in range(paths):
+            for pos, at, count in runs:
+                if count > 0:
+                    seek(i, pos).random(out=rows[i, at:at + count])
         block *= 2.0 * math.pi
 
-    return _Torsions((paths, n_phis), flat[3:].reshape(paths, segments, width), draw)
+    return _Torsions((paths, n_phis), np.zeros((paths, segments, width)), draw)
 
 
 def sample_frc(cfg: FrcConfig, rng: np.random.Generator) -> DiscreteChain:
@@ -290,11 +285,8 @@ def frc_msd_oracle(cfg: FrcConfig) -> float:
     """
     n = cfg.n_bonds
     c = math.cos(cfg.bond_angle)
-    if n == 1:
-        total = 1.0
-    else:
-        k = np.arange(1, n, dtype=np.float64)
-        total = n + 2.0 * float(np.sum((n - k) * np.power(c, k)))
+    k = np.arange(1, n, dtype=np.float64)
+    total = n + 2.0 * float(np.sum((n - k) * np.power(c, k)))
     try:
         msd = cfg.bond_length**2 * total
     except OverflowError:  # a**2 alone overflows

@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import time
 
@@ -285,12 +286,13 @@ def _cmd_plotdata(args) -> int:
     import csv
     from types import SimpleNamespace
 
-    with open(args.report, "r", encoding="utf-8", newline="") as src:
+    with open(args.report, encoding="utf-8", errors="surrogateescape", newline="") as src:
         reader = csv.reader(src)
         try:
             fields = next(reader, [])
-        except (ValueError, csv.Error) as exc:  # e.g. its first block does not decode
-            raise ValueError(f"{args.report}: {exc}") from exc
+            _check_decoded(",".join(fields))
+        except (ValueError, csv.Error) as exc:
+            raise ValueError(f"{args.report}, line 1: {exc}") from exc
         path_file = bool(fields) and fields[0] in ("s", "n") and "observable" not in fields
         if fields and not path_file and not _REPORT_COLUMNS <= set(fields):
             raise ValueError(f"{args.report} is neither a report nor a path CSV "
@@ -313,6 +315,7 @@ def _cmd_plotdata(args) -> int:
                         if path_file:
                             block.extend(_path_plot_lines(prefixes, row))
                         else:
+                            _check_decoded(",".join(row))
                             writer.writerows(_report_plot_rows(dict(zip(fields, row))))
                         if len(block) >= _CSV_BLOCK_ROWS:
                             dst.write("".join(block))
@@ -339,11 +342,21 @@ def _path_plot_lines(prefixes: list[str], row: list[str]) -> list[str]:
     if "\n" in text or "\r" in text:
         raise ValueError("a cell holds a line break")
     if "_" in text or not text.isascii():
+        _check_decoded(text)
         cell = next(cell for cell in row if "_" in cell or not cell.isascii())
         raise ValueError(f"{cell!r} is not an ASCII number without '_'")
     list(map(float, [row[0], *filter(None, row[1:])]))  # raises on the first that is no number
     x = row[0]
     return [f"{prefix}{x},{y},{y},{y}\n" for prefix, y in zip(prefixes, row[1:]) if y]
+
+
+def _check_decoded(text: str) -> None:
+    """Reject text, read with ``errors="surrogateescape"``, that holds a byte
+    that did not decode as UTF-8: a lone surrogate U+DC80..U+DCFF.  The
+    record that holds the byte then names its line, not the record being read
+    when the text layer, a block ahead, met it."""
+    if bad := re.search("[\udc80-\udcff]", text):
+        raise ValueError(f"byte {ord(bad[0]) - 0xDC00:#x} does not decode as UTF-8")
 
 
 def _report_plot_rows(row: dict) -> list[list[str]]:

@@ -184,9 +184,10 @@ def _path_streams(seed: int, start: int):
     """``seek(i, pos=0)``: one Generator with the bits of ``path_rng(seed,
     start + i)`` after its first ``pos`` 64-bit draws.
 
-    Philox is counter-based: each seek sets the one Philox to key ``[seed,
-    start + i]`` at counter ``pos // 4``, ``pos`` a multiple of 4, with an
-    empty buffer, drawing nothing.  A Philox built per path would read OS
+    Philox is counter-based and hands out draws in blocks of 4: each seek
+    sets the one Philox to key ``[seed, start + i]`` at counter ``pos // 4``
+    with an empty buffer, then drops the ``pos % 4`` draws before ``pos``, so
+    a draw can start at any position.  A Philox built per path would read OS
     entropy for a seed that a given key discards.
     """
     bits = np.random.Philox(key=_stream_key(seed, start))
@@ -198,10 +199,10 @@ def _path_streams(seed: int, start: int):
 
     def seek(i: int, pos: int = 0) -> np.random.Generator:
         counter[0], skip = divmod(pos, 4)
-        if skip:
-            raise ValueError(f"stream position {pos} is not a multiple of 4")
         inner["key"] = [seed, start + i]
         bits.state = state
+        if skip:
+            bits.random_raw(skip)
         return rng
 
     return seek

@@ -210,12 +210,12 @@ class TestStreamTorsions:
         (5, 2, None),               # one torsion
         (5, 1000, 5 * 31 * 10),     # blocks of 10 steps in segments of 33 (9 in the last)
         (4096, 200, 4096 * 64),     # one segment of 199 steps in blocks of 64
-        # K = 6: chain 0's run at step 6 starts 2 draws into a Philox block of
-        # 4, so its lead-in lands in the pad in front of the block
+        # K = 6: chain 0's run at step 6 starts 2 draws into a Philox block
+        # of 4, so its stream drops the 2 draws before it
         (2, 401, 2 * 20 * 6),
-        (3, 101, 3 * 10 * 1),       # K = 1: a lead-in reaches back over three runs
+        (3, 101, 3 * 10 * 1),       # K = 1: runs of one draw, most inside a Philox block
         # K = 2, L = 7, 4 steps in the last segment: from step 4 on its slots
-        # are empty and take the next chain's lead-in
+        # are empty and keep the draws of an earlier block
         (3, 40, 3 * 6 * 2),
     ])
     def test_block_holds_each_chains_draws(self, monkeypatch, paths, n_bonds, block):

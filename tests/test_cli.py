@@ -860,14 +860,30 @@ class TestPlotdata:
 
     @pytest.mark.parametrize("size", [10, 100_000])
     def test_undecodable_input_is_usage_error(self, tmp_path, capsys, size):
-        # the text layer decodes in blocks: a bad byte in the first one
-        # fails the header, a later one fails a row
+        # the text layer decodes a block ahead of the CSV reader: the error
+        # once named no line (in the first block) or a line before the byte
         bad = tmp_path / "bad.csv"
         bad.write_bytes(b"s,Qx\n" + b"0.5,1.0\n" * size + b"0.1,\xff\n")
         out = tmp_path / "out.csv"
         assert run_cli("plotdata", "--report", bad, "--out", out) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "decode" in err and err.count("\n") == 1, err
+        assert err.startswith(f"error: {bad}, line {size + 2}: ") and "decode" in err, err
+        assert err.count("\n") == 1, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("data, line", [
+        (b"observable,s,t,estimate,stderr,oracle,z,pass\n"
+         b'"qq[k1=0,k2=5]",0.0,0.5,0.4,0.1,0.3,0.0,True\n'
+         b'"qq[k1=0,k2=9]\xff",0.0,0.9,0.4,0.1,0.3,0.0,True\n', 3),
+        (b"s,Q\xffx\n0.5,1.0\n", 1),
+    ], ids=["report-row", "header"])
+    def test_undecodable_byte_names_its_line(self, tmp_path, capsys, data, line):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(data)
+        out = tmp_path / "out.csv"
+        assert run_cli("plotdata", "--report", bad, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}, line {line}: byte 0xff does not decode as UTF-8\n"
         assert not out.exists()
 
     def test_usage_error_leaves_no_partial_output(self, tmp_path, capsys):
