@@ -15,15 +15,16 @@ a frame matrix only for the final state on request.
 Segment plan: a batch of C paths of n steps is cut into B time segments of
 ``L = ceil(n/B)`` steps, ``B = min(n, 4096 // C, floor(sqrt(n)))``.  All C*B
 segments are scanned at once, each from the identity frame, so one numpy
-call advances C*B frames; the segments are then stitched in order
-(``S_b = S_{b-1} E_{b-1}``, ``P_b = P_{b-1} + R(S_{b-1}) r_{b-1}``).  One
-record holds each state that is read, once: a slot per mark, filled by the
-one segment that holds it, or a full path, written into the caller's array.
-One map, ``P_b + R(S_b) local``, takes the record to global coordinates in
-place, so a full path is the marks on every state, bit for bit.  The sup
-deviation from the rod needs global positions at every step; with more than
-one segment it comes from a second scan started at the stitched
-``(S_b, P_b)``.  The plan depends on (C, n) alone, so results do
+call advances C*B frames; the segments are then stitched in order,
+``S_b = S_{b-1} E_{b-1}``.  Each start's rotation ``R(S_b)`` is built once,
+and ``P_b`` sums the rotated ends ``R(S_c) r_c`` of the segments ``c < b``
+in order.  One record holds each state that is read, once: a slot
+per mark, filled by the one segment that holds it, or a full path, written
+into the caller's array.  One map, ``P_b + R(S_b) local``, takes the record
+to global coordinates in place, so a full path is the marks on every state,
+bit for bit.  The sup deviation from the rod needs global positions at every
+step; with more than one segment it comes from a second scan started at the
+stitched ``(S_b, P_b)``.  The plan depends on (C, n) alone, so results do
 not depend on how paths are spread over workers.  A step filler is called
 for in-segment steps ``j = 0..L-1`` in order, so it can read its inputs from
 a block of in-segment steps of every segment, refilled as the scan goes: the
@@ -87,11 +88,10 @@ def quat_matrix(q) -> np.ndarray:
     ], -2)
 
 
-def _rotate(q, v):
-    """Rotate vectors ``v`` ``(3, ...)`` by unit quaternions ``q`` ``(4, ...)``,
+def _rotate(m, v):
+    """Rotate vectors ``v`` ``(3, ...)`` by rotation matrices ``m`` ``(..., 3, 3)``,
     each component summed in one fixed order, ``((0 + m_i0 v_0) + m_i1 v_1) +
     m_i2 v_2``, so that the bits do not depend on how ``v`` is laid out."""
-    m = quat_matrix(q)
     return np.array([0.0 + m[..., i, 0] * v[0] + m[..., i, 1] * v[1] + m[..., i, 2] * v[2]
                      for i in range(3)])
 
@@ -172,13 +172,13 @@ def frame_scan(step, paths: int, n_steps: int, *, weights: tuple[float, float],
     end_q, end_r, sup_sq = scan(starts_q[:, :, :segments], starts_r[:, :, :segments], record,
                                 hits, rod_step if segments == 1 else None)
 
-    # stitch: S_0 = 1, S_{b+1} = S_b E_b, P_{b+1} = P_b + R(S_b) r_end_b.  Each
-    # S_b is renormalized: the rounding of constant-angle steps is biased,
-    # so without it the norm drifts linearly over the segments.
+    # stitch: S_{b+1} = S_b E_b, renormalized, as biased rounding drifts the norm linearly;
+    # each R(S_b) is built once, and P_{b+1} = P_b + R(S_b) r_end_b is summed in b order.
     for b in range(segments):
         starts_q[:, :, b + 1] = _qnormalize(_qmul(starts_q[:, :, b], end_q[:, :, b]))
-        if curve:
-            starts_r[:, :, b + 1] = starts_r[:, :, b] + _rotate(starts_q[:, :, b], end_r[:, :, b])
+    rotations = quat_matrix(starts_q[:, :, :segments])
+    if curve:
+        np.cumsum(_rotate(rotations, end_r), axis=2, out=starts_r[:, :, 1:])
     if rod_step is not None and segments > 1:
         # rescan each segment from its stitched start
         sup_sq = scan(starts_q[:, :, :segments], starts_r[:, :, :segments], {}, {},
@@ -191,7 +191,7 @@ def frame_scan(step, paths: int, n_steps: int, *, weights: tuple[float, float],
         segs = (np.array(states[lo:lo + width]) - 1) // span
         for i, local in record.items():
             block = local[:, :, lo:lo + width]
-            block[...] = _rotate(starts_q[:, :, segs], block)
+            block[...] = _rotate(rotations[:, segs], block)
             if i:
                 block += starts_r[:, :, segs]
     out: dict = {key: {k: record[i][:, :, bisect.bisect_left(states, k)].T if k

@@ -10,6 +10,7 @@ from wormchain.analytics import (
     kp_tangent_correlation,
     random_coil_cov,
 )
+from wormchain.chain import FrcConfig, frc_bond_correlation_oracle, frc_msd_oracle
 
 
 class TestTangentCorrelation:
@@ -175,3 +176,40 @@ class TestRandomCoilCov:
         for lp in (1e-4, 1e-6):
             scaled = (3.0 / lp) * kp_mean_sq_position(lp, s) / 3.0
             assert scaled == pytest.approx(random_coil_cov(s, s), rel=1e-3 * lp / 1e-4)
+
+
+class TestTheoremRate:
+    """The paper's theorem as a rate on the closed forms: the chain of N bonds
+    of length L/N at bond angle kappa/sqrt(N) tends to the wormlike chain of
+    ell_p = 4L/kappa^2, with gaps of order 1/N, and to no other ell_p."""
+
+    length, kappa = 1.0, math.sqrt(2.0)
+    ell_p = 4.0 * length / kappa**2
+
+    def chain(self, n):
+        return FrcConfig.scaled(n, self.length, self.kappa)
+
+    def correlation_gap(self, n, ell_p):
+        """N times the end-to-end tangent correlation's gap, chain minus KP."""
+        chain = frc_bond_correlation_oracle(self.chain(n).bond_angle, n)
+        return n * (chain - kp_tangent_correlation(ell_p, 0.0, self.length))
+
+    def test_correlation_gap_times_n_tends_to_its_limit(self):
+        # log cos(x) = -x^2/2 - x^4/12 + ..., so N (cos(kappa/sqrt N)^N - e^-1)
+        # tends to -e^-1 kappa^4 / 12
+        limit = -math.exp(-1.0) * self.kappa**4 / 12.0
+        for n in (100, 1000, 10_000):
+            assert self.correlation_gap(n, self.ell_p) == pytest.approx(limit, abs=1e-3)
+
+    def test_msd_gap_times_n_converges(self):
+        gaps = [n * (frc_msd_oracle(self.chain(n)) - kp_mean_sq_position(self.ell_p, self.length))
+                for n in (100, 1000, 10_000)]
+        assert gaps == pytest.approx([-0.066683, -0.068852, -0.069068], abs=1e-6)
+        steps = [abs(b - a) for a, b in zip(gaps, gaps[1:])]
+        assert steps[1] < 0.2 * steps[0]
+
+    def test_gap_at_the_other_persistence_length_grows_like_n(self):
+        # at ell_p = 2L/kappa^2 the gap tends to e^-1 - e^-2, not 0
+        gaps = [self.correlation_gap(n, 2.0 * self.length / self.kappa**2) for n in (100, 1000)]
+        assert gaps[0] == pytest.approx(23.1, abs=0.05)
+        assert gaps[1] / gaps[0] == pytest.approx(10.0, rel=0.01)

@@ -398,6 +398,25 @@ class TestMonteCarloAgainstOracles:
             assert abs(z) <= 4.0
 
 
+class TestTangentLaw:
+    """The bond directions form a Markov chain with a zonal step kernel, so
+    E[P_l(T_1 . T_{1+k})] = P_l(cos theta)^k for every degree l.  The l = 1
+    rows above cannot tell the chain from a planar one (each torsion 0 or
+    pi), whose bond correlation is also cos(theta)^k; degree 2 can."""
+
+    def test_second_legendre_correlation(self):
+        cfg = FrcConfig.scaled(100, 1.0, math.sqrt(2))
+        n_paths, lags = 10_000, (25, 50, 99)
+        torsions = _draw_torsions(cfg, n_paths, _path_streams(2025, 0))
+        rec = _frc_scan(cfg, torsions, tangent_marks=tuple(1 + k for k in lags))
+        rho_2 = 1.5 * math.cos(cfg.bond_angle) ** 2 - 0.5
+        for k in lags:
+            x = rec["tangents"][1 + k][:, 2]  # T_1 . T_{1+k} with T_1 = e3
+            p2 = 1.5 * x * x - 0.5
+            z = (p2.mean() - rho_2**k) / (p2.std(ddof=1) / math.sqrt(n_paths))
+            assert abs(z) <= 4.0, f"lag {k}: z = {z}"
+
+
 class TestSerialization:
     def test_csv_shape_and_phi_column(self):
         chain = sample_frc(FrcConfig.scaled(4, 1.0, 1.0), path_rng(6, 0))

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wormchain.estimators import path_rng
+from wormchain.estimators import _path_streams, path_rng
 from wormchain.kp import (
     KpConfig,
     PathSample,
@@ -292,6 +292,41 @@ class TestDistribution:
         diff = fine_vals.mean() - coarse_vals.mean()
         combined = math.hypot(fine_vals.std(ddof=1), coarse_vals.std(ddof=1)) / math.sqrt(n_paths)
         assert abs(diff) < 2.0 * combined
+
+
+def _step_legendre(l, c):
+    """rho_l(c) = E P_l(cos(c R)) for R Rayleigh, the mean of the degree-l
+    Legendre polynomial over one scheme step's angle ``c R``: with u = R^2/2,
+    it is the integral of P_l(cos(c sqrt(2u))) e^-u over u >= 0."""
+    u, w = np.polynomial.laguerre.laggauss(40)
+    return float(w @ np.polynomial.legendre.legval(np.cos(c * np.sqrt(2.0 * u)), [0] * l + [1]))
+
+
+class TestTangentLaw:
+    """A scheme step rotates the frame by ``c R`` about a uniform body axis
+    perpendicular to the tangent, with c = sqrt(2h/ell_p) and R Rayleigh, so
+    the tangents form a Markov chain with a zonal step kernel and
+    E[P_l(Q_0 . Q_k)] = rho_l(c)^k for every degree l.  A planar step with
+    the right l = 1 correlation passes every l = 1 row; degree 2 fails it."""
+
+    @pytest.mark.parametrize("c", [0.14, 0.45, 1.0])
+    def test_quadrature_matches_the_first_degree_series(self, c):
+        # E cos(cR) = sum_m (-c^2)^m E[R^2m] / (2m)! with E[R^2m] = 2^m m!
+        series = math.fsum((-2.0 * c * c) ** m * math.factorial(m) / math.factorial(2 * m)
+                           for m in range(60))
+        assert _step_legendre(1, c) == pytest.approx(series, rel=0, abs=1e-12)
+
+    def test_second_legendre_correlation(self):
+        cfg = KpConfig(1.0, 1.0, 100)
+        n_paths, marks = 20_000, (25, 50, 100)
+        dbeta = _draw_increments(cfg, n_paths, _path_streams(2025, 0))
+        rec = _kp_scan(cfg.ell_p, cfg.h, dbeta, tangent_marks=marks)
+        rho_2 = _step_legendre(2, math.sqrt(2.0 * cfg.h / cfg.ell_p))
+        for k in marks:
+            x = rec["tangents"][k][:, 2]  # Q_0 . Q_k with Q_0 = e3
+            p2 = 1.5 * x * x - 0.5
+            z = (p2.mean() - rho_2**k) / (p2.std(ddof=1) / math.sqrt(n_paths))
+            assert abs(z) <= 4.0, f"step {k}: z = {z}"
 
 
 class TestSerialization:

@@ -129,11 +129,11 @@ class TestApply:
 
     def test_identity(self):
         v = np.array([0.2, -0.5, 1.5])
-        assert np.array_equal(_rotate(IDENTITY, v), v)
+        assert np.array_equal(_rotate(quat_matrix(IDENTITY), v), v)
 
     def test_quarter_turn_about_z(self):
-        assert np.allclose(_rotate(rot([0, 0, 1], math.pi / 2), [1.0, 0.0, 0.0]), [0, 1, 0],
-                           atol=1e-15)
+        assert np.allclose(_rotate(quat_matrix(rot([0, 0, 1], math.pi / 2)), [1.0, 0.0, 0.0]),
+                           [0, 1, 0], atol=1e-15)
 
     def test_preserves_norm(self):
         rng = np.random.default_rng(31)
@@ -142,7 +142,8 @@ class TestApply:
         q = _quat(angles * axes / np.linalg.norm(axes, axis=1, keepdims=True))
         v = rng.normal(size=(3, 50)) * rng.uniform(0.1, 10, size=50)
         norms = np.linalg.norm(v, axis=0)
-        assert np.all(np.abs(np.linalg.norm(_rotate(q, v), axis=0) - norms) <= 1e-12 * norms)
+        rotated = _rotate(quat_matrix(q), v)
+        assert np.all(np.abs(np.linalg.norm(rotated, axis=0) - norms) <= 1e-12 * norms)
 
 
 class TestQuaternions:
