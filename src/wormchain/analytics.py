@@ -62,7 +62,7 @@ def _check_size(cause: str, count: float) -> float:
     """``count`` if at most 2**58; ``cause`` names it or what asks for its steps."""
     if count > _MAX_COUNT:
         from decimal import Decimal  # formats any int; imported only to reject one
-        if cause in ("n_paths", "grid_points"):
+        if cause in ("n_paths", "grid_points", "workers"):
             raise ValueError(f"{cause} must be at most 2**58, got {Decimal(count):.3e}")
         raise ValueError(f"{cause} asks for {Decimal(count):.3e} steps; a path holds at most 2**58")
     return count

@@ -225,9 +225,9 @@ def _draw_torsions(cfg: FrcConfig, paths: int, seek) -> _Torsions:
     the scan: the bits of ``rng.uniform(0.0, 2*pi)``, ``0 + 2*pi * u``.
 
     ``seek(i, pos)`` is chain ``i``'s stream past its first ``pos`` draws.
-    Each ``(chain, segment)`` run of a block, or a chain's whole row when the
-    block holds every step, is drawn from its own stream position straight
-    into its slice.  A lone chain's block is its whole row; a block of more
+    Each ``(chain, segment)`` run of a block is drawn from its own stream
+    position straight into its slice.  A lone chain's block is its whole
+    row, whose runs are then contiguous and in stream order; a block of more
     holds at most ``_TORSION_BLOCK`` doubles, or one step of every segment
     when ``C B`` is larger.
     """
@@ -237,12 +237,9 @@ def _draw_torsions(cfg: FrcConfig, paths: int, seek) -> _Torsions:
 
     def draw(block, j):
         # runs (stream position, place in a chain's row, length): one per
-        # segment, where the last segment and the last block can end short,
-        # or a chain's whole row when the block holds every step, since the
-        # row is then in stream order
-        runs = ([(0, 0, n_phis)] if width == span else
-                [(b * span + j, b * width, min(width, span - j, n_phis - b * span - j))
-                 for b in range(segments)])
+        # segment, where the last segment and the last block can end short
+        runs = [(b * span + j, b * width, min(width, span - j, n_phis - b * span - j))
+                for b in range(segments)]
         rows = block.reshape(paths, -1)
         for i in range(paths):
             for pos, at, count in runs:
@@ -255,7 +252,8 @@ def _draw_torsions(cfg: FrcConfig, paths: int, seek) -> _Torsions:
 
 def sample_frc(cfg: FrcConfig, rng: np.random.Generator) -> DiscreteChain:
     """Draw one chain from the stream ``rng``: the torsion draw of ``C = 1``,
-    its whole row from the start of ``rng``, then the exact construction."""
+    whose runs read ``rng`` from its start in order, then the exact
+    construction."""
     torsions = _draw_torsions(cfg, 1, lambda i, pos=0: rng)
     beads = np.zeros((1, cfg.n_bonds + 1, 3))
     _frc_scan(cfg, torsions, beads=beads)

@@ -180,8 +180,6 @@ def _resolve_params(args, suite: str) -> dict:
             params["workers"] = int(text)
         except ValueError as exc:
             raise ValueError(f"WORMCHAIN_WORKERS must be an integer, got {text!r}") from exc
-    if params["workers"] < 1:
-        raise ValueError(f"workers must be at least 1, got {params['workers']}")
     return params
 
 

@@ -329,11 +329,12 @@ def run_ensemble(model, n_paths: int, observables, seed: int, *,
 
     Path ``i`` draws from the stream keyed by ``(seed, i)``; chunk boundaries
     depend only on the model, so the merged summary is bit-identical for any
-    worker count.
+    worker count.  ``workers`` is a positive integer count of processes.
     """
     if not isinstance(model, (FrcConfig, KpConfig)):
         raise ValueError(f"model must be FrcConfig or KpConfig, got {type(model).__name__}")
     _check_n_paths(n_paths)
+    _check_count("workers", workers)
     _stream_key(seed, n_paths - 1)  # a bad seed fails before any work
     observables = tuple(observables)
     if not observables:
@@ -349,13 +350,13 @@ def run_ensemble(model, n_paths: int, observables, seed: int, *,
     # chunks are made as they run, and reduced one at a time in chunk order
     calls = ((model, observables, seed, start, min(start + starts.step, n_paths))
              for start in starts)
-    if not (workers and workers > 1 and len(starts) > 1):
+    workers = min(workers, len(starts))
+    if workers == 1:
         return functools.reduce(EnsembleSummary.merge, (_ensemble_chunk(*a) for a in calls))
     # a fork start method forks every worker at the first submit; each
     # worker has at most two chunks pending
     from concurrent.futures import ProcessPoolExecutor  # only a pooled run pays its import
 
-    workers = min(workers, len(starts))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return functools.reduce(EnsembleSummary.merge, _in_order(pool, calls, 2 * workers))
 
@@ -447,10 +448,10 @@ class _Bound:
     bound: float
     s: float | None = None
 
-    def report(self, summary: EnsembleSummary | None, threshold: float) -> ComparisonReport:
+    def report(self, summary: EnsembleSummary, threshold: float) -> ComparisonReport:
         value = self.value(*(summary.mean(obs.name) for obs in self.reads))
         return _make_report(self.name, max(value, 0.0), self.bound / threshold, 0.0, threshold,
-                            s=self.s, sampled=bool(self.reads))
+                            s=self.s)
 
 
 def _run_rows(groups, n_paths: int, seed: int, threshold: float,
@@ -458,17 +459,15 @@ def _run_rows(groups, n_paths: int, seed: int, threshold: float,
     """Report the rows of ``groups``, a sequence of ``(model, rows)``, in order.
 
     A row is a :class:`_Check`, a :class:`_Bound` or a finished
-    closed-form :class:`ComparisonReport`.  Each group whose rows read an
-    observable runs one ensemble of ``model`` over what they read, with the
-    same ``n_paths`` and ``seed``; a group that reads nothing runs none.
-    Rows whose arclengths snapped onto one grid point share a name; each
-    name is reported once, first row first.  The threshold, and the
-    ``_MIN_Z_TEST_PATHS`` paths that a :class:`_Check` row needs, are
-    checked before any group runs.
+    closed-form :class:`ComparisonReport`.  Each group runs one ensemble of
+    ``model`` over what its rows read, with the same ``n_paths`` and
+    ``seed``.  Rows whose arclengths snapped onto one grid point share a
+    name; each name is reported once, first row first.  The threshold, and
+    the ``_MIN_Z_TEST_PATHS`` paths that every suite's z-tested rows need,
+    are checked before any group runs.
     """
     _check_threshold(threshold)
-    if any(isinstance(row, _Check) for _, rows in groups for row in rows):
-        _check_n_paths(n_paths, _MIN_Z_TEST_PATHS)
+    _check_n_paths(n_paths, _MIN_Z_TEST_PATHS)
     reports: dict[str, ComparisonReport] = {}
     for model, rows in groups:
         observables: dict[str, Observable] = {}
@@ -476,8 +475,7 @@ def _run_rows(groups, n_paths: int, seed: int, threshold: float,
             if not isinstance(row, ComparisonReport):
                 for obs in row.reads:
                     observables.setdefault(obs.name, obs)
-        summary = (run_ensemble(model, n_paths, observables.values(), seed, workers=workers)
-                   if observables else None)
+        summary = run_ensemble(model, n_paths, observables.values(), seed, workers=workers)
         for row in rows:
             report = row if isinstance(row, ComparisonReport) else row.report(summary, threshold)
             reports.setdefault(report.observable, report)
@@ -600,9 +598,9 @@ def convergence_table(contour_length: float, kappa: float, n_list, n_paths: int,
     gap between the chain oracles and the continuum closed forms with
     ``ell_p = 2L/kappa^2``; per-quantity rows then check that the gap is
     monotone non-increasing in N (up to 10% of the smallest gap).  The
-    ladder ``n_list`` must strictly increase from N >= 2.  The suite is one
-    group of rows per N, and a last group of the monotone rows, which read
-    no observable, all run by one runner.
+    ladder ``n_list`` must strictly increase from N >= 2.  The runner runs
+    one group of rows per N; the monotone rows are closed-form rows,
+    finished here and reported after them.
     """
     cfgs = [FrcConfig.scaled(n, contour_length, kappa) for n in n_list]
     n_list = [cfg.n_bonds for cfg in cfgs]
@@ -631,7 +629,7 @@ def convergence_table(contour_length: float, kappa: float, n_list, n_paths: int,
         rows.append(_info_report(f"kp-gap-msd[N={n}]", frc_msd, kp_msd, t=cfg.contour_length))
         groups.append((cfg, rows))
 
-    monotone = []
+    reports = _run_rows(groups, n_paths, seed, threshold, workers)
     if len(n_list) >= 2:
         # per quantity, the gaps |estimate - oracle| of its kp-gap rows in N
         # order; the largest rise from one N to the next is the violation
@@ -641,18 +639,20 @@ def convergence_table(contour_length: float, kappa: float, n_list, n_paths: int,
         for name, column in zip(names, columns):
             gaps = [abs(row.estimate - row.oracle) for row in column]
             violation = max([0.0] + [later - earlier for earlier, later in zip(gaps, gaps[1:])])
-            monotone.append(_Bound(name, (), functools.partial(float, violation), 0.1 * min(gaps)))
-    return _run_rows(groups + [(None, monotone)], n_paths, seed, threshold, workers)
+            reports.append(_make_report(name, violation, 0.1 * min(gaps) / threshold, 0.0,
+                                        threshold, sampled=False))
+    return reports
 
 
 def _diagnostics_config(contour_length: float, ell_p: float, n_steps, n_paths: int,
-                        grid_points: int, seed: int, threshold: float) -> KpConfig:
+                        grid_points: int, seed: int, threshold: float, workers: int) -> KpConfig:
     """Validate a diagnostics suite's parameters, so that bad input fails
     before any regime warning is printed.  Both suites z-test rows."""
     _check_count("grid_points", grid_points)
     _check_n_paths(n_paths, _MIN_Z_TEST_PATHS)
     _stream_key(seed, n_paths - 1)
     _check_threshold(threshold)
+    _check_count("workers", workers)
     return KpConfig.create(contour_length, ell_p, n_steps)
 
 
@@ -677,7 +677,8 @@ def hard_rod_diagnostics(ell_p: float, contour_length: float, n_paths: int,
     the mean sup-deviation from the rod stays under 0.05; both bounds are
     frozen regression bounds.
     """
-    cfg = _diagnostics_config(contour_length, ell_p, n_steps, n_paths, grid_points, seed, threshold)
+    cfg = _diagnostics_config(contour_length, ell_p, n_steps, n_paths, grid_points, seed,
+                              threshold, workers)
     rows = []
     for j in range(1, grid_points + 1):
         k = _snap_index(cfg, j * contour_length / grid_points)
@@ -708,7 +709,8 @@ def random_coil_diagnostics(ell_p: float, contour_length: float, n_paths: int,
     exact mean-squared-position form.  The grid must resolve ``ell_p``:
     ``h = L/n_steps <= ell_p/10``, else ``ValueError``.
     """
-    cfg = _diagnostics_config(contour_length, ell_p, n_steps, n_paths, grid_points, seed, threshold)
+    cfg = _diagnostics_config(contour_length, ell_p, n_steps, n_paths, grid_points, seed,
+                              threshold, workers)
     scale = 3.0 / ell_p
     rows = []
     for g in range(1, grid_points + 1):

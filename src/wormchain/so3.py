@@ -13,9 +13,9 @@ frame is a means to the curve: a scan returns tangents and positions, and
 a frame matrix only for the final state on request.
 
 Segment plan: a batch of C paths of n steps is cut into B time segments of
-``L = ceil(n/B)`` steps, ``B = min(n, 4096 // C, floor(sqrt(n)))``.  All C*B
-segments are scanned at once, each from the identity frame, so one numpy
-call advances C*B frames; the segments are then stitched in order,
+``L = ceil(n/B)`` steps, ``B = min(4096 // C, floor(sqrt(n)))`` and at least
+1.  All C*B segments are scanned at once, each from the identity frame, so
+one numpy call advances C*B frames; the segments are then stitched in order,
 ``S_b = S_{b-1} E_{b-1}``.  Each start's rotation ``R(S_b)`` is built once,
 and ``P_b`` sums the rotated ends ``R(S_c) r_c`` of the segments ``c < b``
 in order.  One record holds each state that is read, once: a slot
@@ -99,12 +99,12 @@ def _rotate(m, v):
 def segment_plan(paths: int, n_steps: int) -> tuple[int, int]:
     """Segments ``B`` and steps per segment ``L`` for C paths of n steps.
 
-    ``B = min(n, MAX_SCAN_WIDTH // C, floor(sqrt(n)))``, at least 1, and
+    ``B = min(MAX_SCAN_WIDTH // C, floor(sqrt(n)))``, at least 1, and
     ``L = ceil(n / B)``.  Since ``B**2 <= n``, every segment holds at least
     one real step; only the last one can be short.
     """
     n = int(n_steps)
-    segments = max(1, min(n, MAX_SCAN_WIDTH // max(1, int(paths)), math.isqrt(n)))
+    segments = max(1, min(MAX_SCAN_WIDTH // max(1, int(paths)), math.isqrt(n)))
     return segments, -(-n // segments)
 
 

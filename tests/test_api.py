@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import wormchain
+import wormchain.estimators as estimators
 from wormchain import (DiscreteChain, EnsembleSummary, FrcConfig, KpConfig, Observable,
                        PathSample, path_rng, sample_frc, simulate_kp)
 
@@ -46,6 +47,14 @@ def test_readme_lists_the_package_exports():
     exported = {name for name, value in vars(wormchain).items()
                 if not name.startswith("_") and not inspect.ismodule(value)}
     assert listed == exported
+
+
+def test_readme_and_observable_docstring_name_every_observable_kind():
+    # a new kind must be listed in README "Library" and tabulated in the docstring
+    listing = _library_section().split("The kinds are", 1)[1].split(";", 1)[0]
+    table = re.findall(r"^\s*``(\w+) \(", Observable.__doc__, re.M)
+    assert sorted(re.findall(r"`(\w+)`", listing)) == sorted(estimators._KINDS)
+    assert sorted(table) == sorted(estimators._KINDS)
 
 
 @pytest.mark.parametrize("module", _MODULES)

@@ -172,10 +172,11 @@ class TestSampleFrc:
 
     def test_torsions_are_the_bits_of_a_scaled_uniform(self):
         # unit uniforms scaled in place are rng.uniform(0, 2 pi) bit for bit,
-        # and a lone chain's block is its whole row, drawn in one run
+        # and a lone chain's block is its whole row, drawn one run per
+        # segment, each from its own stream position
         cfg = FrcConfig.scaled(130, 1.0, 1.0)
         expected = path_rng(4, 9).uniform(0.0, 2.0 * math.pi, size=129)
-        torsions = _draw_torsions(cfg, 1, lambda i, pos=0: path_rng(4, 9))
+        torsions = _draw_torsions(cfg, 1, _path_streams(4, 9))
         segments, span = segment_plan(1, 129)
         assert torsions.shape == (1, 129) and torsions.block.shape == (1, segments, span)
         torsions.draw(torsions.block, 0)
@@ -185,9 +186,9 @@ class TestSampleFrc:
 
     def test_lone_chain_holds_its_whole_row_whatever_the_block(self, monkeypatch):
         # a 64-double block holds 2 of the 33 steps of each of the chain's 31
-        # segments; a lone chain's block still holds its whole row, drawn in
-        # one run from the start of its stream, so its torsions and beads do
-        # not depend on the block size
+        # segments; a lone chain's block still holds its whole row, whose
+        # runs, one per segment, read its stream in order from the start, so
+        # its torsions and beads do not depend on the block size
         cfg = FrcConfig.raw(1000, 1.0, 1.0)
         unpatched = sample_frc(cfg, path_rng(4, 9))
         monkeypatch.setattr(chain_module, "_TORSION_BLOCK", 64)

@@ -279,6 +279,14 @@ class TestBadInput:
         assert "workers" in err
         assert not (tmp_path / "report-correlation.csv").exists()
 
+    def test_workers_is_checked_by_the_library_before_the_regime_warning(self, capsys,
+                                                                          tmp_path):
+        # the hard-rod suite at ell_p = L would warn about its regime
+        err = self._usage_error(capsys, "verify", "--suite", "hard-rod", "--ell-p", 1,
+                                "--workers", 0, "--seed", 1, "--out-dir", tmp_path)
+        assert err == "error: workers must be a positive integer, got 0\n"
+        assert not (tmp_path / "report-hard-rod.csv").exists()
+
     @pytest.mark.parametrize("value", ["two", "1.5", "0"])
     def test_bad_workers_env(self, capsys, tmp_path, monkeypatch, value):
         monkeypatch.setenv("WORMCHAIN_WORKERS", value)

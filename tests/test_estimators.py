@@ -3,6 +3,7 @@ import io
 import math
 import re
 import tracemalloc
+import warnings
 from concurrent.futures import Future
 
 import numpy as np
@@ -333,6 +334,23 @@ class TestRunEnsemble:
                                              f"got {n_paths!r}"):
             run_ensemble(cfg, n_paths, (msd_observable(cfg, 1.0),), seed=0)
 
+    @pytest.mark.parametrize("n_paths", [40, 4200])  # one chunk, and three of 2097, 2097, 6
+    @pytest.mark.parametrize("workers", [0, -3, 2.5, "2", True])
+    def test_worker_count_must_be_a_positive_integer(self, monkeypatch, workers, n_paths):
+        # 0, -3 and True once ran serially; 2.5 ran serially on one chunk and
+        # raised TypeError in the pool on three; "2" raised TypeError
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a chunk ran or a pool was made")
+
+        monkeypatch.setattr(est, "_ensemble_chunk", no_draw)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_draw)
+        cfg = KpConfig(1.0, 1.0, 4000)
+        message = f"^workers must be a positive integer, got {re.escape(repr(workers))}$"
+        with pytest.raises(ValueError, match=message):
+            run_ensemble(cfg, n_paths, (msd_observable(cfg, 1.0),), seed=0, workers=workers)
+        with pytest.raises(ValueError, match=message):
+            kp_correlation_suite(cfg, n_paths, seed=0, workers=workers)
+
     def test_unknown_kind_and_chain_sup_are_rejected(self):
         with pytest.raises(ValueError, match="unknown observable kind"):
             Observable("b", "bond_corr", (1,))
@@ -595,6 +613,27 @@ class TestSuites:
         gap_rows = [r for r in reports if r.observable.startswith("kp-gap")]
         assert gap_rows and all(r.passed for r in gap_rows)
 
+    def test_convergence_table_runs_one_ensemble_per_n(self, monkeypatch):
+        # the monotone-gap rows are closed-form rows that the suite finishes:
+        # the runner gets one group per N, each with a model and rows that
+        # read an observable, and the monotone rows come last, unsampled
+        seen = []
+        run_rows = est._run_rows
+
+        def spy(groups, *args):
+            seen.extend(groups)
+            return run_rows(groups, *args)
+
+        monkeypatch.setattr(est, "_run_rows", spy)
+        reports = convergence_table(1.0, math.sqrt(2), [4, 16], 40, seed=18)
+        assert [model for model, _ in seen] == [FrcConfig.scaled(n, 1.0, math.sqrt(2))
+                                                for n in (4, 16)]
+        assert all(isinstance(row, ComparisonReport) or row.reads
+                   for _, rows in seen for row in rows)
+        monotone = [r for r in reports if r.observable.startswith("gap-monotone")]
+        assert len(monotone) == 4 and reports[-4:] == monotone
+        assert not any(r.sampled for r in monotone)
+
     def test_convergence_table_smallest_instance(self):
         # N = 2 works and its exact-oracle rows pass
         reports = convergence_table(1.0, 1.0, [2], 200, seed=23, fractions=(1.0,))
@@ -702,6 +741,15 @@ class TestSuites:
     def test_hard_rod_regime_warning(self):
         with pytest.warns(RuntimeWarning):
             hard_rod_diagnostics(10.0, 1.0, 30, 1, seed=0, n_steps=50)
+
+    def test_diagnostics_check_workers_before_the_regime_warning(self):
+        # both calls would warn about their regime; workers = 0 once warned, then ran
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^workers must be a positive integer, got 0$"):
+                hard_rod_diagnostics(10.0, 1.0, 30, 1, seed=0, n_steps=50, workers=0)
+            with pytest.raises(ValueError, match="^workers must be a positive integer, got 0$"):
+                random_coil_diagnostics(0.5, 1.0, 30, 1, seed=0, n_steps=50, workers=0)
 
     def test_random_coil_diagnostics(self):
         reports = random_coil_diagnostics(0.01, 1.0, 600, 2, seed=22)
