@@ -186,10 +186,11 @@ def _frc_scan(cfg: FrcConfig, phis: _Torsions, *, beads: np.ndarray | None = Non
     ``phis`` is a :class:`_Torsions` of shape (C, N-1), one torsion row per
     chain.  Returns unit bond directions as ``tangents`` keyed by bond
     number ``1..N`` and bead positions as ``positions`` keyed by bead number
-    ``0..N`` (the shape of the continuum scan's record).  It fills beads
-    ``1..N`` of ``beads`` ``(C, N + 1, 3)``, if given, and leaves bead 0 at
-    the origin where the caller put it; a scan that keeps the beads keeps no
-    bond directions, so then takes no tangent marks.
+    ``0..N`` (the shape of the continuum scan's record); the ensemble engine
+    checks marks against those ranges.  It fills beads ``1..N`` of ``beads``
+    ``(C, N + 1, 3)``, if given, and leaves bead 0 at the origin where the
+    caller put it; a scan that keeps the beads keeps no bond directions, so
+    then takes no tangent marks.
 
     Bond ``m`` is the frame's tangent after ``m - 1`` torsion steps of
     :func:`wormchain.so3.frame_scan`, and bead ``m >= 1`` is ``a e3`` (the
@@ -200,12 +201,6 @@ def _frc_scan(cfg: FrcConfig, phis: _Torsions, *, beads: np.ndarray | None = Non
     paths, n_phis = phis.shape
     if n_phis != n - 1:
         raise ValueError(f"phis must have shape (C, {n - 1}), got {phis.shape}")
-    for m in tangent_marks:
-        if not 1 <= m <= n:
-            raise ValueError(f"bond mark {m} outside 1..{n}")
-    for m in position_marks:
-        if not 0 <= m <= n:
-            raise ValueError(f"bead mark {m} outside 0..{n}")
 
     rec = frame_scan(_frc_steps(cfg.bond_angle, phis), paths, n - 1, weights=(0.0, a),
                      tangent_marks=[m - 1 for m in tangent_marks],

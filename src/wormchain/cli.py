@@ -7,6 +7,7 @@ series for external plotting).
 
 Exit codes: 0 success, 1 I/O failure or out of memory, 2 bad input (any
 ``ValueError``, reported as one ``error:`` line), 3 verification failure.
+A warning is one ``warning:`` line.
 A failed verify suite is rerun once with ``seed + 1`` (mod 2**64) before
 being declared red, so a single 4-sigma statistical flake does not fail CI;
 a suite whose failed rows are all unsampled (closed-form rows, which no
@@ -22,6 +23,7 @@ import os
 import re
 import sys
 import time
+import warnings
 
 from .analytics import _CSV_BLOCK_ROWS
 from .chain import FrcConfig, sample_frc, write_chain_csv
@@ -391,17 +393,19 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except ValueError as exc:  # bad input, wherever it is found
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return 1
-    except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():  # one line a warning, like an error
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except ValueError as exc:  # bad input, wherever it is found
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except OSError as exc:
+            print(f"I/O error: {exc}", file=sys.stderr)
+            return 1
+        except MemoryError as exc:
+            print(f"error: out of memory: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

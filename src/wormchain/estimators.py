@@ -83,8 +83,8 @@ def _incr_prod(rec, i, k1, k2, scale):
 
 # kind -> (params, value on a scan record).  Each letter of the params
 # string is one parameter: ``T`` a tangent mark, ``P`` a position mark (both
-# non-negative ints), ``i`` a component 0..2, ``f`` a real number.  The
-# Observable docstring tabulates it.
+# non-negative ints), ``i`` a component 0..2, ``f`` a finite real number.
+# The Observable docstring tabulates it.
 _KINDS = {
     "tangent_dot": ("TT", _tangent_dot),
     "path_msd": ("P", lambda rec, k: np.sum(rec["positions"][k] ** 2, axis=1)),
@@ -103,7 +103,8 @@ _PARAM_RULES = {
     "T": _MARK_RULE,
     "P": _MARK_RULE,
     "i": (lambda v: _is_int(v) and 0 <= v <= 2, "a component index 0, 1 or 2"),
-    "f": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), "a real number"),
+    "f": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) < math.inf,
+          "a finite real number"),
 }
 
 
@@ -116,8 +117,8 @@ class Observable:
     ``1..N`` (tangent) and bead number ``0..N`` (position) on the chain.
     ``kind`` selects the rule and ``params`` are its arguments (marks are
     non-negative ints, components ``i``, ``j`` ints in 0..2, centers ``c``
-    and scales ``w`` real numbers); a wrong count or type is a
-    ``ValueError``:
+    and scales ``w`` finite real numbers); a wrong count, type or value is
+    a ``ValueError``, and so is a mark past its model in :func:`run_ensemble`:
 
     kind (params)                 tangents  positions  value
     ``tangent_dot (k1, k2)``      k1, k2               ``T_k1 . T_k2``
@@ -342,10 +343,19 @@ def run_ensemble(model, n_paths: int, observables, seed: int, *,
     names = [obs.name for obs in observables]
     if len(set(names)) != len(names):
         raise ValueError("observable names must be unique")
-    if isinstance(model, FrcConfig) and any(obs.kind == "sup_rod_dev" for obs in observables):
-        raise ValueError("observable kind 'sup_rod_dev' is not valid for FrcConfig")
+    # every observable against the model, before any draw or pool
+    chain = isinstance(model, FrcConfig)
+    n = model.n_bonds if chain else model.n_steps
+    numbering = (("bond", 1), ("bead", 0)) if chain else (("grid", 0), ("grid", 0))
+    for obs in observables:
+        if chain and obs.kind == "sup_rod_dev":
+            raise ValueError("observable kind 'sup_rod_dev' is not valid for FrcConfig")
+        for (what, first), marks in zip(numbering, (obs.tangent_marks, obs.position_marks)):
+            for m in marks:
+                if not first <= m <= n:
+                    raise ValueError(f"observable {obs.name!r}: {what} mark {m} outside {first}..{n}")
 
-    per_path = max(1, model.n_bonds - 1) if isinstance(model, FrcConfig) else 2 * model.n_steps
+    per_path = max(1, n - 1) if chain else 2 * n
     starts = range(0, n_paths, max(1, min(n_paths, _MAX_CHUNK_PATHS, _CHUNK_BUDGET // per_path)))
     # chunks are made as they run, and reduced one at a time in chunk order
     calls = ((model, observables, seed, start, min(start + starts.step, n_paths))
@@ -454,20 +464,25 @@ class _Bound:
                             s=self.s)
 
 
-def _run_rows(groups, n_paths: int, seed: int, threshold: float,
-              workers: int) -> list[ComparisonReport]:
+def _run_rows(groups, n_paths: int, seed: int, threshold: float, workers: int,
+              regime: str | None = None) -> list[ComparisonReport]:
     """Report the rows of ``groups``, a sequence of ``(model, rows)``, in order.
 
     A row is a :class:`_Check`, a :class:`_Bound` or a finished
     closed-form :class:`ComparisonReport`.  Each group runs one ensemble of
     ``model`` over what its rows read, with the same ``n_paths`` and
     ``seed``.  Rows whose arclengths snapped onto one grid point share a
-    name; each name is reported once, first row first.  The threshold, and
-    the ``_MIN_Z_TEST_PATHS`` paths that every suite's z-tested rows need,
-    are checked before any group runs.
+    name; each name is reported once, first row first.  The threshold, the
+    ``_MIN_Z_TEST_PATHS`` paths that z-tested rows need, the seed and
+    ``workers`` are checked first; only then is ``regime``, a suite's note
+    that its arguments lie outside its limit, warned at the suite's caller.
     """
     _check_threshold(threshold)
     _check_n_paths(n_paths, _MIN_Z_TEST_PATHS)
+    _stream_key(seed, n_paths - 1)
+    _check_count("workers", workers)
+    if regime is not None:
+        warnings.warn(regime, RuntimeWarning, stacklevel=3)
     reports: dict[str, ComparisonReport] = {}
     for model, rows in groups:
         observables: dict[str, Observable] = {}
@@ -644,18 +659,6 @@ def convergence_table(contour_length: float, kappa: float, n_list, n_paths: int,
     return reports
 
 
-def _diagnostics_config(contour_length: float, ell_p: float, n_steps, n_paths: int,
-                        grid_points: int, seed: int, threshold: float, workers: int) -> KpConfig:
-    """Validate a diagnostics suite's parameters, so that bad input fails
-    before any regime warning is printed.  Both suites z-test rows."""
-    _check_count("grid_points", grid_points)
-    _check_n_paths(n_paths, _MIN_Z_TEST_PATHS)
-    _stream_key(seed, n_paths - 1)
-    _check_threshold(threshold)
-    _check_count("workers", workers)
-    return KpConfig.create(contour_length, ell_p, n_steps)
-
-
 def _rod_ratio(var1: float, var2: float, var3: float) -> float:
     """Longitudinal over mean transverse fluctuation."""
     transverse = 0.5 * (var1 + var2)
@@ -677,8 +680,8 @@ def hard_rod_diagnostics(ell_p: float, contour_length: float, n_paths: int,
     the mean sup-deviation from the rod stays under 0.05; both bounds are
     frozen regression bounds.
     """
-    cfg = _diagnostics_config(contour_length, ell_p, n_steps, n_paths, grid_points, seed,
-                              threshold, workers)
+    _check_count("grid_points", grid_points)
+    cfg = KpConfig.create(contour_length, ell_p, n_steps)
     rows = []
     for j in range(1, grid_points + 1):
         k = _snap_index(cfg, j * contour_length / grid_points)
@@ -689,11 +692,9 @@ def hard_rod_diagnostics(ell_p: float, contour_length: float, n_paths: int,
         rows += [_Check(var[0], oracle, s=s_snap), _Check(var[1], oracle, s=s_snap),
                  _Bound(f"rodvar3-ratio[k={k}]", var, _rod_ratio, _ROD_RATIO_BOUND, s=s_snap)]
     rows.append(_Bound("rodsup", (Observable("rodsup", "sup_rod_dev"),), float, _ROD_SUP_BOUND))
-    if ell_p < 100.0 * contour_length:
-        warnings.warn(
-            f"hard-rod diagnostics expect ell_p >= 100*L; got ell_p={ell_p!r}, L={contour_length!r}",
-            RuntimeWarning, stacklevel=2)
-    return _run_rows([(cfg, rows)], n_paths, seed, threshold, workers)
+    regime = (f"hard-rod diagnostics expect ell_p >= 100*L; got ell_p={ell_p!r}, "
+              f"L={contour_length!r}" if ell_p < 100.0 * contour_length else None)
+    return _run_rows([(cfg, rows)], n_paths, seed, threshold, workers, regime)
 
 
 def random_coil_diagnostics(ell_p: float, contour_length: float, n_paths: int,
@@ -709,8 +710,8 @@ def random_coil_diagnostics(ell_p: float, contour_length: float, n_paths: int,
     exact mean-squared-position form.  The grid must resolve ``ell_p``:
     ``h = L/n_steps <= ell_p/10``, else ``ValueError``.
     """
-    cfg = _diagnostics_config(contour_length, ell_p, n_steps, n_paths, grid_points, seed,
-                              threshold, workers)
+    _check_count("grid_points", grid_points)
+    cfg = KpConfig.create(contour_length, ell_p, n_steps)
     scale = 3.0 / ell_p
     rows = []
     for g in range(1, grid_points + 1):
@@ -735,11 +736,9 @@ def random_coil_diagnostics(ell_p: float, contour_length: float, n_paths: int,
         raise ValueError(
             f"random-coil diagnostics need a grid step h <= ell_p/10; got h={cfg.h!r} for "
             f"ell_p={ell_p!r}; use n_steps >= {math.ceil(10.0 * contour_length / ell_p)}")
-    if ell_p > contour_length / 100.0:
-        warnings.warn(
-            f"random-coil diagnostics expect ell_p <= L/100; got ell_p={ell_p!r}, L={contour_length!r}",
-            RuntimeWarning, stacklevel=2)
-    return _run_rows([(cfg, rows)], n_paths, seed, threshold, workers)
+    regime = (f"random-coil diagnostics expect ell_p <= L/100; got ell_p={ell_p!r}, "
+              f"L={contour_length!r}" if ell_p > contour_length / 100.0 else None)
+    return _run_rows([(cfg, rows)], n_paths, seed, threshold, workers, regime)
 
 
 # ---------------------------------------------------------------------------

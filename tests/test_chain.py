@@ -19,7 +19,7 @@ from wormchain.chain import (
     sample_frc,
     write_chain_csv,
 )
-from wormchain.estimators import _path_streams, path_rng
+from wormchain.estimators import Observable, _path_streams, path_rng, run_ensemble
 from wormchain.so3 import segment_plan
 
 
@@ -477,7 +477,9 @@ class TestSerialization:
 
 
 class TestScanInput:
-    """``_frc_scan`` checks its torsions and marks against the chain."""
+    """``_frc_scan`` checks its torsions against the chain; the ensemble
+    engine checks the marks before any scan (bead marks:
+    ``tests/test_estimators.py``)."""
 
     cfg = FrcConfig.scaled(4, 1.0, 1.0)
 
@@ -488,10 +490,5 @@ class TestScanInput:
 
     @pytest.mark.parametrize("mark", [0, 5])
     def test_bond_mark_outside_the_chain(self, mark):
-        with pytest.raises(ValueError, match=f"bond mark {mark} outside 1..4"):
-            _frc_scan(self.cfg, whole_row_torsions(np.zeros((2, 3))), tangent_marks=(1, mark))
-
-    @pytest.mark.parametrize("mark", [-1, 5])
-    def test_bead_mark_outside_the_chain(self, mark):
-        with pytest.raises(ValueError, match=f"bead mark {mark} outside 0..4"):
-            _frc_scan(self.cfg, whole_row_torsions(np.zeros((2, 3))), position_marks=(0, mark))
+        with pytest.raises(ValueError, match=f"^observable 'm': bond mark {mark} outside 1..4$"):
+            run_ensemble(self.cfg, 4, (Observable("m", "tangent_dot", (1, mark)),), seed=0)

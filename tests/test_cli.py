@@ -126,6 +126,22 @@ class TestVerify:
     def test_seed_required(self, tmp_path):
         assert run_cli("verify", "--suite", "correlation", "--out-dir", tmp_path) == 2
 
+    def test_a_warning_is_one_line(self, capsys, tmp_path):
+        # a regime warning once printed the caller's file and line, then its code line
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            shown = warnings.showwarning
+            code = run_cli("verify", "--suite", "random-coil", "--ell-p", 0.5, "--n-paths", 30,
+                           "--n-steps", 50, "--grid-points", 1, "--seed", 1,
+                           "--out-dir", tmp_path)
+            assert warnings.showwarning is shown
+        assert code == 0
+        # seed 1 fails coilvar2 at z = -5.84 and is rerun; each attempt warns once
+        attempts = json.loads((tmp_path / "report-random-coil.json").read_text())["attempts"]
+        assert len(attempts) == 2
+        line = "warning: random-coil diagnostics expect ell_p <= L/100; got ell_p=0.5, L=1.0\n"
+        assert capsys.readouterr().err == line * 2
+
     def test_hard_rod_suite_is_red(self, tmp_path):
         # the transverse-variance oracle 2 s^3/3 follows from the
         # exp(-2|t-s|/ell_p) correlation convention, so the suite passes and

@@ -351,6 +351,36 @@ class TestRunEnsemble:
         with pytest.raises(ValueError, match=message):
             kp_correlation_suite(cfg, n_paths, seed=0, workers=workers)
 
+    @staticmethod
+    def _forbid_work(monkeypatch):
+        def work(*args, **kwargs):
+            raise AssertionError("a path was drawn or a pool was started")
+
+        for name in ("_draw_increments", "_draw_torsions"):
+            monkeypatch.setattr(est, name, work)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", work)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_grid_mark_past_the_end_stops_before_any_work(self, monkeypatch, workers):
+        # the mark was once found by the scan after a whole chunk was drawn:
+        # 0.36 s and 123 MiB, or 0.65 s with the pool started first
+        self._forbid_work(monkeypatch)
+        cfg = KpConfig(1.0, 1.0, 4000)
+        with pytest.raises(ValueError, match=r"^observable 'x': grid mark 5000 outside 0\.\.4000$"):
+            run_ensemble(cfg, 8000, [Observable("x", "path_msd", (5000,))], 1, workers=workers)
+
+    # bond marks: tests/test_chain.py::TestScanInput
+    @pytest.mark.parametrize("kind, params, message", [
+        ("coord", (0, 5), "bead mark 5 outside 0..4"),
+    ], ids=["bead-5"])
+    def test_chain_mark_outside_the_chain_stops_before_any_draw(self, monkeypatch, kind,
+                                                               params, message):
+        # bead -1 is no mark at all: Observable rejects it
+        self._forbid_work(monkeypatch)
+        cfg = FrcConfig.scaled(4, 1.0, 1.0)
+        with pytest.raises(ValueError, match=f"^observable 'm': {re.escape(message)}$"):
+            run_ensemble(cfg, 4, (Observable("m", kind, params),), seed=0)
+
     def test_unknown_kind_and_chain_sup_are_rejected(self):
         with pytest.raises(ValueError, match="unknown observable kind"):
             Observable("b", "bond_corr", (1,))
@@ -377,11 +407,21 @@ class TestObservables:
         ("path_msd", (True,), "must be a non-negative integer mark, got True"),
         ("coord", (5, 3), "param 0 .* must be a component index 0, 1 or 2, got 5"),
         ("coord_prod", (0, 2, -1, 5, 1.0), "param 2 .* must be a component index"),
-        ("coord_sq", (0, 3, "0", 1.0), "param 2 .* must be a real number, got '0'"),
+        ("coord_sq", (0, 3, "0", 1.0), "param 2 .* must be a finite real number, got '0'"),
     ])
     def test_params_are_checked_against_the_kind(self, kind, params, message):
         with pytest.raises(ValueError, match=message):
             Observable("o", kind, params)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("param", [2, 3])  # the center, then the scale
+    def test_real_params_must_be_finite(self, param, value):
+        # a nan center once ran and reported mean nan; an inf scale, mean inf and m2 nan
+        params = [0, 5, 0.0, 1.0]
+        params[param] = value
+        with pytest.raises(ValueError, match=f"param {param} of kind 'coord_sq' must be a "
+                                             f"finite real number, got {value!r}"):
+            Observable("v", "coord_sq", tuple(params))
 
     def test_numpy_scalars_are_valid_params(self):
         obs = Observable("o", "coord_sq", (np.int64(2), np.int64(4), np.float64(0.5), 3))
@@ -770,6 +810,15 @@ class TestSuites:
     def test_random_coil_regime_warning(self):
         with pytest.warns(RuntimeWarning):
             random_coil_diagnostics(0.5, 1.0, 30, 1, seed=0, n_steps=50)
+
+    @pytest.mark.parametrize("suite, ell_p", [(hard_rod_diagnostics, 10.0),
+                                              (random_coil_diagnostics, 0.5)])
+    def test_regime_warning_points_at_the_caller(self, suite, ell_p):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            suite(ell_p, 1.0, 30, 1, seed=0, n_steps=50)
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert caught[0].filename == __file__
 
 
 class TestReportSerialization:
