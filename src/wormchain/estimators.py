@@ -270,11 +270,13 @@ class EnsembleSummary:
 
 
 def _chunk_values(model, observables: tuple[Observable, ...], seed: int,
-                  start: int, stop: int) -> np.ndarray:
+                  start: int, stop: int, two_threads: bool = False) -> np.ndarray:
     """Per-path values ``(observables, paths)`` of paths ``start..stop-1``,
     each drawn by its model's one draw function from its own stream, keyed
     ``(seed, start + i)`` as it is sought: a chain's torsions a block at a
-    time just ahead of the scan, a continuum path's increments whole."""
+    time just ahead of the scan, a continuum path's increments whole.  With
+    ``two_threads``, a continuum chunk's second half of rows is drawn on a
+    helper thread from a second seeker; a chain's short runs stay serial."""
     paths = stop - start
     marks = {
         "tangent_marks": tuple(sorted({k for obs in observables for k in obs.tangent_marks})),
@@ -284,14 +286,17 @@ def _chunk_values(model, observables: tuple[Observable, ...], seed: int,
     if isinstance(model, FrcConfig):
         rec = _frc_scan(model, _draw_torsions(model, paths, seek), **marks)
     else:
-        rec = _kp_scan(model.ell_p, model.h, _draw_increments(model, paths, seek), **marks,
+        helper_seek = _path_streams(seed, start) if two_threads else None
+        dbeta = _draw_increments(model, paths, seek, helper_seek)
+        rec = _kp_scan(model.ell_p, model.h, dbeta, **marks,
                        track_sup_rod_dev=any(obs.kind == "sup_rod_dev" for obs in observables))
     return np.stack([obs.evaluate(rec) for obs in observables])
 
 
-def _ensemble_chunk(model, observables, seed, start, stop) -> EnsembleSummary:
-    return EnsembleSummary.from_values(
-        model, seed, observables, _chunk_values(model, observables, seed, start, stop))
+def _ensemble_chunk(model, observables, seed, start, stop,
+                    two_threads: bool = False) -> EnsembleSummary:
+    values = _chunk_values(model, observables, seed, start, stop, two_threads)
+    return EnsembleSummary.from_values(model, seed, observables, values)
 
 
 def _in_order(pool, calls, ahead: int):
@@ -331,6 +336,8 @@ def run_ensemble(model, n_paths: int, observables, seed: int, *,
     Path ``i`` draws from the stream keyed by ``(seed, i)``; chunk boundaries
     depend only on the model, so the merged summary is bit-identical for any
     worker count.  ``workers`` is a positive integer count of processes.
+    With one, the chunks run here, and a continuum chunk draws half of its
+    rows on a helper thread.
     """
     if not isinstance(model, (FrcConfig, KpConfig)):
         raise ValueError(f"model must be FrcConfig or KpConfig, got {type(model).__name__}")
@@ -362,7 +369,13 @@ def run_ensemble(model, n_paths: int, observables, seed: int, *,
              for start in starts)
     workers = min(workers, len(starts))
     if workers == 1:
-        return functools.reduce(EnsembleSummary.merge, (_ensemble_chunk(*a) for a in calls))
+        # chunks run here, so a continuum draw may take a second CPU; on one
+        # CPU the helper costs nothing (kp-ensemble under taskset -c 0, 10
+        # pairs: 0.673 s alone, 0.674 s with it).  Pool workers draw alone:
+        # a helper in each of 2 workers on 2 CPUs slowed kp-ensemble and
+        # coil-narrow calls by 6 % (10 pairs each, 6 lost)
+        return functools.reduce(EnsembleSummary.merge,
+                                 (_ensemble_chunk(*a, True) for a in calls))
     # a fork start method forks every worker at the first submit; each
     # worker has at most two chunks pending
     from concurrent.futures import ProcessPoolExecutor  # only a pooled run pays its import
@@ -712,12 +725,20 @@ def random_coil_diagnostics(ell_p: float, contour_length: float, n_paths: int,
     """
     _check_count("grid_points", grid_points)
     cfg = KpConfig.create(contour_length, ell_p, n_steps)
+    marks = [(_snap_index(cfg, s), _snap_index(cfg, s / 2.0, "s/2"))
+             for s in (g * contour_length / grid_points for g in range(1, grid_points + 1))]
+    # a coarser grid biases the rows by many stderrs: at ell_p = 0.01 and
+    # 4000 paths, coilsum reads z = -15.6 at h = ell_p, -5.8 at ell_p/4 and
+    # -1.0 at ell_p/10.  Checked before the rows: below about 1.67e-308 their
+    # scale 3/ell_p is inf, and no grid resolves such an ell_p.
+    if cfg.h > ell_p / 10.0:
+        _check_size(f"ell_p = {ell_p!r} at h <= ell_p/10", 10.0 * contour_length / ell_p)
+        raise ValueError(
+            f"random-coil diagnostics need a grid step h <= ell_p/10; got h={cfg.h!r} for "
+            f"ell_p={ell_p!r}; use n_steps >= {math.ceil(10.0 * contour_length / ell_p)}")
     scale = 3.0 / ell_p
     rows = []
-    for g in range(1, grid_points + 1):
-        s = g * contour_length / grid_points
-        k = _snap_index(cfg, s)
-        k_half = _snap_index(cfg, s / 2.0, "s/2")
+    for k, k_half in marks:
         s_snap = k * cfg.h
         rows += [_Check(Observable(f"coilvar{i + 1}[k={k}]", "coord_sq", (i, k, 0.0, scale)),
                         random_coil_cov(s_snap, s_snap), s=s_snap) for i in range(3)]
@@ -728,14 +749,6 @@ def random_coil_diagnostics(ell_p: float, contour_length: float, n_paths: int,
                                    (i, k_half, k, scale)), 0.0, s=s_snap) for i in range(3)]
         rows.append(_Check(Observable(f"coilsum[k={k}]", "path_msd", (k,)),
                            scale * kp_mean_sq_position(ell_p, s_snap), s=s_snap, scale=scale))
-    # a coarser grid biases the rows by many stderrs: at ell_p = 0.01 and
-    # 4000 paths, coilsum reads z = -15.6 at h = ell_p, -5.8 at ell_p/4 and
-    # -1.0 at ell_p/10
-    if cfg.h > ell_p / 10.0:
-        _check_size(f"ell_p = {ell_p!r} at h <= ell_p/10", 10.0 * contour_length / ell_p)
-        raise ValueError(
-            f"random-coil diagnostics need a grid step h <= ell_p/10; got h={cfg.h!r} for "
-            f"ell_p={ell_p!r}; use n_steps >= {math.ceil(10.0 * contour_length / ell_p)}")
     regime = (f"random-coil diagnostics expect ell_p <= L/100; got ell_p={ell_p!r}, "
               f"L={contour_length!r}" if ell_p > contour_length / 100.0 else None)
     return _run_rows([(cfg, rows)], n_paths, seed, threshold, workers, regime)

@@ -18,7 +18,10 @@ segments that are scanned side by side and then stitched (see
 keeps the curve, its grid, tangents and positions.  Those arrays are
 read-only: its constructor checks and copies what it is given, and
 :func:`simulate_kp` adopts the arrays it has the scan fill, without a copy.
-Every path, :func:`simulate_kp`'s too, draws in :func:`_draw_increments`.
+Every path, :func:`simulate_kp`'s too, draws in :func:`_draw_increments`,
+each row from its own stream.  An ensemble chunk that runs in the calling
+process draws on two threads, half of its rows each, with the same bits;
+pool workers and :func:`simulate_kp` draw alone.
 
 Noise normalization: the per-step rotation vector is
 ``sqrt(2/ell_p) * (-db2, db1, 0)`` with ``db1, db2 ~ N(0, h)``.  The factor
@@ -32,6 +35,7 @@ on conventions.)
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,7 +172,7 @@ def _kp_scan(ell_p: float, h: float, dbeta: np.ndarray, *,
                       want_final_frame=want_final_frame, keep=keep)
 
 
-def _draw_increments(cfg: KpConfig, paths: int, seek) -> np.ndarray:
+def _draw_increments(cfg: KpConfig, paths: int, seek, helper_seek=None) -> np.ndarray:
     """The driver of ``C`` paths: ``(C, n_steps, 2)`` increments ``(db1_k,
     db2_k)``, each i.i.d. Normal(0, h), row ``i`` drawn whole from ``seek(i)``,
     since a ziggurat normal takes a variable number of draws: a segment's
@@ -177,11 +181,41 @@ def _draw_increments(cfg: KpConfig, paths: int, seek) -> np.ndarray:
     Each row's standard normals are scaled in place as soon as they are
     drawn, while the row is still in cache; they are the bits of
     ``rng.normal(0.0, sqrt(h))``, which computes ``0 + sqrt(h) * z``.
+
+    Given ``helper_seek``, a second seeker over the same keys, one thread
+    draws rows ``C//2..C-1`` from it while the caller draws the rest: each
+    Philox fills its rows without the GIL, and every row keeps its bits.
+    The thread is always joined, and what it raised is raised here.
     """
     dbeta = np.empty((paths, cfg.n_steps, 2))
-    for i, row in enumerate(dbeta):
-        seek(i).standard_normal(out=row)
-        row *= math.sqrt(cfg.h)
+    sd = math.sqrt(cfg.h)
+
+    def draw(rows, seek):
+        for i in rows:
+            row = dbeta[i]
+            seek(i).standard_normal(out=row)
+            row *= sd
+
+    if helper_seek is None or paths < 2:
+        draw(range(paths), seek)
+        return dbeta
+    half = paths // 2
+    raised = []
+
+    def helper():
+        try:
+            draw(range(half, paths), helper_seek)
+        except BaseException as exc:  # handed to the caller after the join
+            raised.append(exc)
+
+    thread = threading.Thread(target=helper, name="wormchain-draw")
+    thread.start()
+    try:
+        draw(range(half), seek)
+    finally:
+        thread.join()
+    if raised:
+        raise raised[0]
     return dbeta
 
 

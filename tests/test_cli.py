@@ -513,6 +513,16 @@ class TestBadInput:
         assert "n_bonds asks for 1.000e+400 steps" in err
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_coil_scale_overflow_meets_the_grid_rule(self, capsys, tmp_path):
+        # below about 1.67e-308 the rows' scale 3/ell_p is inf; the rows were
+        # once built before the grid rule, and a row's inf scale was reported
+        err = self._usage_error(capsys, "verify", "--suite", "random-coil", "--ell-p", 1.3e-308,
+                                "--n-steps", 1000, "--n-paths", 30, "--seed", 1,
+                                "--out-dir", tmp_path)
+        assert err.startswith("error: ell_p = 1.3e-308 at h <= ell_p/10 asks for Infinity steps")
+        assert "2**58" in err
+        assert not list(tmp_path.glob("*.csv"))
+
     @pytest.mark.parametrize("command, sampler", [
         (("simulate-frc", "--n-bonds", 4, "--contour-length", 1, "--kappa", 1), "sample_frc"),
         (("simulate-kp", "--contour-length", 1, "--ell-p", 1), "simulate_kp"),

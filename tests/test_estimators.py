@@ -2,12 +2,14 @@ import concurrent.futures
 import io
 import math
 import re
+import threading
 import tracemalloc
 import warnings
 from concurrent.futures import Future
 
 import numpy as np
 import pytest
+from threads import record_thread_starts
 from torsions import whole_row_torsions
 
 import wormchain.chain as chain_module
@@ -193,9 +195,11 @@ class TestRunEnsemble:
         # a fork start method forks every worker at the first submit, so an
         # uncapped pool would fork idle processes; this pool starts none.
         # Chunks are reduced in order as they arrive, so at most two per
-        # worker are pending.
+        # worker are pending.  Each chunk run here draws half its rows on a
+        # helper thread, and pooled chunks draw alone, with the same bits.
         monkeypatch.setattr(est, "_CHUNK_BUDGET", 2 * 16 * 7)  # 40 paths in 6 chunks
         widths, peaks, pending = [], [], [0]
+        started = record_thread_starts(monkeypatch)
 
         class Done(Future):
             def result(self, timeout=None):
@@ -225,12 +229,15 @@ class TestRunEnsemble:
         cfg = KpConfig(1.0, 1.0, 16)
         obs = (tangent_dot_observable(cfg, 0.0, 1.0),)
         serial = run_ensemble(cfg, 40, obs, seed=12, workers=1)
+        assert len(started) == 6
+        started.clear()
         for workers in (5000, 3, 2):
             pooled = run_ensemble(cfg, 40, obs, seed=12, workers=workers)
             assert np.array_equal(pooled.means, serial.means)
             assert np.array_equal(pooled.m2s, serial.m2s)
         assert widths == [6, 3, 2]
         assert peaks == [6, 6, 4] and pending == [0]
+        assert started == []
 
     def test_chunks_are_not_listed_before_they_run(self, monkeypatch):
         # 2**32 paths are 2**20 chunks; listing every range before the first
@@ -311,6 +318,35 @@ class TestRunEnsemble:
         for row, index in enumerate(range(3, 8)):
             expected = path_rng(21, index).normal(0.0, math.sqrt(cfg.h), (7, 2))
             assert np.array_equal(dbeta[row], expected)
+
+    @pytest.mark.parametrize("failing", ["helper", "caller"])
+    def test_a_draw_error_reaches_the_caller_after_the_join(self, monkeypatch, failing):
+        # a chunk's second seeker is its helper thread's: what either seeker
+        # raises reaches run_ensemble's caller, and the helper is joined
+        streams = est._path_streams
+        made, raised = [], []
+
+        def seekers(seed, start):
+            made.append(start)
+            seek = streams(seed, start)
+            if (len(made) == 2) != (failing == "helper"):
+                return seek
+
+            def broken(i, pos=0):
+                raised.append(OSError(f"seek {i}"))
+                raise raised[-1]
+
+            return broken
+
+        monkeypatch.setattr(est, "_path_streams", seekers)
+        baseline = threading.active_count()
+        cfg = KpConfig(1.0, 1.0, 16)
+        with pytest.raises(OSError) as caught:
+            run_ensemble(cfg, 40, (msd_observable(cfg, 1.0),), seed=3)
+        assert made == [0, 0]
+        assert len(raised) == 1 and caught.value is raised[0]
+        assert str(caught.value) == ("seek 20" if failing == "helper" else "seek 0")
+        assert threading.active_count() == baseline
 
     def test_validation(self):
         cfg = KpConfig(1.0, 1.0, 8)

@@ -1,10 +1,12 @@
 import csv
 import io
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from threads import record_thread_starts
 
 from wormchain.estimators import _path_streams, path_rng
 from wormchain.kp import (
@@ -113,6 +115,32 @@ class TestBrownianDriver:
         for i in (0, 2):
             assert np.array_equal(rows[i], path_rng(4, 8 + i).normal(0.0, math.sqrt(cfg.h),
                                                                       size=(333, 2)))
+
+    @pytest.mark.parametrize("paths", [1, 2, 3, 83])
+    def test_two_seekers_draw_the_per_path_bits(self, monkeypatch, paths):
+        # the caller draws rows 0..C//2-1 and a helper thread the rest, from
+        # a second seeker over the same keys; 83 splits 41 / 42, and one
+        # row is drawn alone.  A short switch interval interleaves the two
+        # threads between a seek and its draw, so one shared seeker would show
+        started = record_thread_starts(monkeypatch)
+        cfg = KpConfig(1.0, 1.0, 7)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rows = _draw_increments(cfg, paths, _path_streams(2025, 11), _path_streams(2025, 11))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(started) == (paths > 1)
+        assert rows.shape == (paths, 7, 2)
+        for i in range(paths):
+            expected = path_rng(2025, 11 + i).normal(0.0, math.sqrt(cfg.h), (7, 2))
+            assert np.array_equal(rows[i], expected)
+
+    def test_simulate_kp_draws_alone(self, monkeypatch):
+        started = record_thread_starts(monkeypatch)
+        path = simulate_kp(KpConfig(1.0, 1.0, 50), path_rng(6, 3))
+        assert started == []
+        assert path.tangents.shape == (51, 3)
 
     def test_zeros_driver(self):
         # a zero driver leaves the frame exactly the identity, so every
