@@ -276,7 +276,8 @@ def _chunk_values(model, observables: tuple[Observable, ...], seed: int,
     ``(seed, start + i)`` as it is sought: a chain's torsions a block at a
     time just ahead of the scan, a continuum path's increments whole.  With
     ``two_threads``, a continuum chunk's second half of rows is drawn on a
-    helper thread from a second seeker; a chain's short runs stay serial."""
+    helper thread from a second seeker, and a scan with long segments fills
+    its next block of step quaternions on another; a chain stays serial."""
     paths = stop - start
     marks = {
         "tangent_marks": tuple(sorted({k for obs in observables for k in obs.tangent_marks})),
@@ -289,7 +290,8 @@ def _chunk_values(model, observables: tuple[Observable, ...], seed: int,
         helper_seek = _path_streams(seed, start) if two_threads else None
         dbeta = _draw_increments(model, paths, seek, helper_seek)
         rec = _kp_scan(model.ell_p, model.h, dbeta, **marks,
-                       track_sup_rod_dev=any(obs.kind == "sup_rod_dev" for obs in observables))
+                       track_sup_rod_dev=any(obs.kind == "sup_rod_dev" for obs in observables),
+                       two_threads=two_threads)
     return np.stack([obs.evaluate(rec) for obs in observables])
 
 
@@ -337,7 +339,8 @@ def run_ensemble(model, n_paths: int, observables, seed: int, *,
     depend only on the model, so the merged summary is bit-identical for any
     worker count.  ``workers`` is a positive integer count of processes.
     With one, the chunks run here, and a continuum chunk draws half of its
-    rows on a helper thread.
+    rows on a helper thread; on long segments its scan fills the next block
+    of step quaternions on another.
     """
     if not isinstance(model, (FrcConfig, KpConfig)):
         raise ValueError(f"model must be FrcConfig or KpConfig, got {type(model).__name__}")
@@ -369,11 +372,12 @@ def run_ensemble(model, n_paths: int, observables, seed: int, *,
              for start in starts)
     workers = min(workers, len(starts))
     if workers == 1:
-        # chunks run here, so a continuum draw may take a second CPU; on one
-        # CPU the helper costs nothing (kp-ensemble under taskset -c 0, 10
-        # pairs: 0.673 s alone, 0.674 s with it).  Pool workers draw alone:
-        # a helper in each of 2 workers on 2 CPUs slowed kp-ensemble and
-        # coil-narrow calls by 6 % (10 pairs each, 6 lost)
+        # chunks run here, so a continuum draw, and a step fill on long
+        # segments, may take a second CPU; on one CPU the draw helper costs
+        # nothing (kp-ensemble under taskset -c 0, 10 pairs: 0.673 s alone,
+        # 0.674 s with it).  Pool workers start no helper: a draw helper in
+        # each of 2 workers on 2 CPUs slowed kp-ensemble and coil-narrow
+        # calls by 6 % (10 pairs each, 6 lost)
         return functools.reduce(EnsembleSummary.merge,
                                  (_ensemble_chunk(*a, True) for a in calls))
     # a fork start method forks every worker at the first submit; each

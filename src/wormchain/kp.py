@@ -21,7 +21,10 @@ read-only: its constructor checks and copies what it is given, and
 Every path, :func:`simulate_kp`'s too, draws in :func:`_draw_increments`,
 each row from its own stream.  An ensemble chunk that runs in the calling
 process draws on two threads, half of its rows each, with the same bits;
-pool workers and :func:`simulate_kp` draw alone.
+pool workers and :func:`simulate_kp` draw alone.  Such a chunk, when its
+segments are long, also has a helper thread fill the step quaternions of
+the next block of steps while its scan advances the frames (see
+:func:`_kp_scan`), again with the same bits.
 
 Noise normalization: the per-step rotation vector is
 ``sqrt(2/ell_p) * (-db2, db1, 0)`` with ``db1, db2 ~ N(0, h)``.  The factor
@@ -119,31 +122,50 @@ def _kp_steps(ell_p: float, dbeta: np.ndarray):
     tau^2)`` and ``sin(a/2) = 2 tau/(1 + tau^2)``, since numpy's vectorized
     tangent costs far less than a sine plus a cosine.  Below ``1e-4`` rad
     ``sin(a/2)/a`` comes from its series.
+
+    One function fills one step, idx ``(B,)`` into ``(C, B)`` buffers, or a
+    block of ``K`` steps, idx ``(K, B)`` into ``(C, K, B)`` ones, with the
+    same ufuncs in the same order on every element, so both give the same
+    bits.  Its scratch, the gathered increments, ``|omega| / scale`` and
+    ``tau``, is made once per scan at the first call, which gets the largest
+    buffers; a short last block fills the front of it.
     """
     scale = math.sqrt(2.0 / ell_p)
+    scratch = []
+    views = {}  # buffer shape -> its contiguous scratch views
 
     def fill(idx, pw, px, py):
-        d = np.take(dbeta, idx, axis=1)
+        shape, count = pw.shape, pw.size
+        if not scratch:
+            scratch.extend((np.empty((count, 2)), *np.empty((2, count)),
+                            np.empty(count, dtype=bool)))
+        if shape not in views:
+            views[shape] = [a[:count].reshape(shape + a.shape[1:]) for a in scratch]
+        d, m, tau, small = views[shape]
+        np.take(dbeta, idx, axis=1, out=d, mode="clip")
         db1, db2 = d[..., 0], d[..., 1]
-        m2 = db1 * db1
-        m2 += db2 * db2
-        m = np.sqrt(m2)  # |omega| / scale
-        tau = np.tan(m * (0.25 * scale))
-        tau2 = tau * tau
-        den = tau2 + 1.0
-        np.subtract(1.0, tau2, out=pw)
-        pw /= den
-        den *= m
+        np.multiply(db1, db1, out=m)
+        m += np.multiply(db2, db2, out=tau)
+        np.sqrt(m, out=m)  # |omega| / scale
+        np.multiply(m, 0.25 * scale, out=tau)
+        np.tan(tau, out=tau)
+        np.multiply(tau, tau, out=py)
+        np.add(py, 1.0, out=px)  # 1 + tau^2, held in px
+        np.subtract(1.0, py, out=pw)
+        pw /= px
+        px *= m
         with np.errstate(invalid="ignore", divide="ignore"):
-            g = tau / den
-        g *= 2.0  # scale * sin(a/2) / a
-        small = m < _SMALL_ANGLE / scale
-        if small.any():
-            a2 = m2 * (scale * scale)
-            g = np.where(small, 0.5 * scale * (1.0 - a2 / 24.0 * (1.0 - a2 / 80.0)), g)
-        np.multiply(g, db2, out=px)
+            np.divide(tau, px, out=tau)
+        tau *= 2.0  # scale * sin(a/2) / a
+        if np.less(m, _SMALL_ANGLE / scale, out=small).any():
+            b1, b2 = db1[small], db2[small]
+            a2 = b1 * b1
+            a2 += b2 * b2
+            a2 *= scale * scale
+            tau[small] = 0.5 * scale * (1.0 - a2 / 24.0 * (1.0 - a2 / 80.0))
+        np.multiply(tau, db2, out=px)
         np.negative(px, out=px)
-        np.multiply(g, db1, out=py)
+        np.multiply(tau, db1, out=py)
 
     return fill
 
@@ -153,7 +175,8 @@ def _kp_scan(ell_p: float, h: float, dbeta: np.ndarray, *,
              tangent_marks: tuple[int, ...] = (),
              position_marks: tuple[int, ...] = (),
              track_sup_rod_dev: bool = False,
-             want_final_frame: bool = False) -> dict:
+             want_final_frame: bool = False,
+             two_threads: bool = False) -> dict:
     """Integrate a batch of frame paths from a (C, n, 2) increment array.
 
     Runs :func:`wormchain.so3.frame_scan`.  Tangents are frame third
@@ -161,6 +184,9 @@ def _kp_scan(ell_p: float, h: float, dbeta: np.ndarray, *,
     (h/2)(Q_{k-1} + Q_k)``.  Marks are grid indices in ``0..n``.
     ``track_sup_rod_dev`` records ``sup_k |R_k - s_k e3|`` per path, and
     ``keep = (tangents, positions)`` are filled with the whole paths.
+    With ``two_threads``, a scan with long segments has a helper thread fill
+    each next block's step quaternions while it advances the frames, with
+    the same bits (see :func:`wormchain.so3.frame_scan`'s ``ahead``).
     """
     _check_ell_p(ell_p)
     paths, n, two = dbeta.shape
@@ -169,7 +195,7 @@ def _kp_scan(ell_p: float, h: float, dbeta: np.ndarray, *,
     return frame_scan(_kp_steps(ell_p, dbeta), paths, n, weights=(0.5 * h, 0.5 * h),
                       tangent_marks=tangent_marks, position_marks=position_marks,
                       rod_step=h if track_sup_rod_dev else None,
-                      want_final_frame=want_final_frame, keep=keep)
+                      want_final_frame=want_final_frame, keep=keep, ahead=two_threads)
 
 
 def _draw_increments(cfg: KpConfig, paths: int, seek, helper_seek=None) -> np.ndarray:

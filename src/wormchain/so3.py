@@ -30,6 +30,12 @@ for in-segment steps ``j = 0..L-1`` in order, so it can read its inputs from
 a block of in-segment steps of every segment, refilled as the scan goes: the
 chain's torsions are drawn that way (see :mod:`wormchain.chain`).
 
+A filler that reads nothing but its own inputs may instead be called for
+blocks of ``K`` in-segment steps on a helper thread: while the caller
+advances the frames over block ``q``, the helper fills block ``q + 1`` into
+the other of two step-major buffers.  The caller's product is the same
+sequence of numpy calls either way, so a pipelined scan keeps every bit.
+
 A scan integrates the curve only when something reads a position (a
 position mark, the rod deviation or the full path); otherwise it advances
 the frames alone and takes the tangent only on the recorded steps.  Either
@@ -40,6 +46,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import threading
 
 import numpy as np
 
@@ -53,6 +60,19 @@ __all__ = [
 # Widest batch of segments one scan step advances; matches the widest
 # ensemble chunk, so narrow chunks are widened by cutting paths into segments.
 MAX_SCAN_WIDTH = 4096
+
+# A filler that may run ahead is called on a helper thread for blocks of
+# K = L // _BLOCKS_PER_SEGMENT in-segment steps, when K >= _MIN_PIPELINED_BLOCK.
+# The two step buffers and the filler's scratch then hold at most about
+# 3.4 % of a chunk's 2 C n increments.  Both were set from wall_s medians of
+# 10 alternated pairs against the per-step fill, with the divisor set to
+# give each K.  kp-ensemble (L = 1000): K = 3 +13 % (4 won), K = 4 +4.9 %
+# (4 won), K = 5 -5.2 % (7 won), K = 6 -7.5 % (9 won).  coil-narrow
+# (L = 2041): K = 5 -5.7 % (8 won), K = 8 -16 % and K = 13 -22 % (10 won
+# each; K = 13 peak_rss_mb +2.4 %); in a prototype K = 16 took peak_rss_mb
+# past its 5 % bound.
+_BLOCKS_PER_SEGMENT = 150
+_MIN_PIPELINED_BLOCK = 5
 
 
 def orthonormal_defect(m) -> float:
@@ -110,13 +130,17 @@ def segment_plan(paths: int, n_steps: int) -> tuple[int, int]:
 
 def frame_scan(step, paths: int, n_steps: int, *, weights: tuple[float, float],
                tangent_marks=(), position_marks=(), rod_step: float | None = None,
-               want_final_frame: bool = False, keep=(None, None)) -> dict:
+               want_final_frame: bool = False, keep=(None, None), ahead: bool = False) -> dict:
     """Advance C moving frames by n right-multiplied steps, and their curves.
 
     ``step(idx, pw, px, py)`` fills the ``(C, len(idx))`` buffers with the
     step quaternions ``(pw, px, py, 0)`` of the global step indices ``idx``,
     ``min(b L + j, n - 1)`` for each segment ``b``; each scan pass calls it
-    for ``j = 0..L-1`` in order, and ``idx[0]`` is ``j``.
+    for ``j = 0..L-1`` in order, and ``idx[0]`` is ``j``.  ``ahead`` says
+    that it reads nothing the scan writes; then, when the segments are
+    long, a helper thread calls it instead once per block of up to K
+    consecutive steps ``j``, in order, with ``idx`` ``(k, B)`` and ``(C, k,
+    B)`` buffers, views of step-major memory (see :func:`_step_quaternions`).
     The frame starts at the identity, the curve at the origin; after step
     ``k`` the tangent ``t_k`` is the frame's third column and the position is
     ``r_k = r_{k-1} + c_old t_{k-1} + c_new t_k`` with
@@ -136,6 +160,9 @@ def frame_scan(step, paths: int, n_steps: int, *, weights: tuple[float, float],
     n = int(n_steps)
     segments, span = segment_plan(paths, n)
     tail = n - (segments - 1) * span
+    block = span // _BLOCKS_PER_SEGMENT if ahead else 1
+    if block < _MIN_PIPELINED_BLOCK:
+        block = 1
     tangent_marks, position_marks = (sorted({int(k) for k in m})
                                      for m in (tangent_marks, position_marks))
     for k in tangent_marks + position_marks:
@@ -143,7 +170,7 @@ def frame_scan(step, paths: int, n_steps: int, *, weights: tuple[float, float],
             raise ValueError(f"grid mark {k} outside 0..{n}")
     kept = {i: path for i, path in enumerate(keep) if path is not None}
     curve = bool(position_marks) or 1 in kept or rod_step is not None
-    scan = functools.partial(_scan_segments, step, n, span, tail, weights, curve)
+    scan = functools.partial(_scan_segments, step, block, n, span, tail, weights, curve)
     first = ((0.0, 0.0, 1.0), (0.0, 0.0, 0.0))[:1 + curve]
 
     # the record {0: tangents, 1: positions with the curve} (3, C, slots): a
@@ -190,10 +217,10 @@ def frame_scan(step, paths: int, n_steps: int, *, weights: tuple[float, float],
     for lo in range(0, len(states), width):
         segs = (np.array(states[lo:lo + width]) - 1) // span
         for i, local in record.items():
-            block = local[:, :, lo:lo + width]
-            block[...] = _rotate(rotations[:, segs], block)
+            part = local[:, :, lo:lo + width]
+            part[...] = _rotate(rotations[:, segs], part)
             if i:
-                block += starts_r[:, :, segs]
+                part += starts_r[:, :, segs]
     out: dict = {key: {k: record[i][:, :, bisect.bisect_left(states, k)].T if k
                        else np.tile(first[i], (paths, 1)) for k in marks}
                  for i, (key, marks) in enumerate((("tangents", tangent_marks),
@@ -205,10 +232,11 @@ def frame_scan(step, paths: int, n_steps: int, *, weights: tuple[float, float],
     return out
 
 
-def _scan_segments(step, n, span, tail, weights, curve, q0, r0, record, hits, rod_step):
+def _scan_segments(step, block, n, span, tail, weights, curve, q0, r0, record, hits, rod_step):
     """The per-step loop of :func:`frame_scan`: scan C x B segments side by
     side from their start frames ``q0`` and positions ``r0``, each over
-    ``span`` steps (``tail`` real ones in the last segment).
+    ``span`` steps (``tail`` real ones in the last segment), with the step
+    quaternions of :func:`_step_quaternions`.
 
     After in-segment step ``j`` with ``hits[j] = (slots, segments)``, the
     listed segments' local tangents fill those slots of ``record[0]``
@@ -218,53 +246,107 @@ def _scan_segments(step, n, span, tail, weights, curve, q0, r0, record, hits, ro
     """
     w, x, y, z = (np.array(c) for c in q0)
     paths, segments = w.shape
-    pw, px, py = np.empty((3, paths, segments))
     rx, ry, rz = (np.array(c) for c in r0)
     if curve:
         tx, ty, tz = _third_column(w, x, y, z)
     base = np.arange(segments) * span
     c_old, c_new = (float(c) for c in weights)
     sup_sq = None if rod_step is None else np.zeros((paths, segments))
-    for j in range(span):
-        idx = np.minimum(base + j, n - 1)
-        step(idx, pw, px, py)
-        ragged = j >= tail
-        if ragged:
-            # past the last real step: the exact identity, no motion
-            pw[:, -1] = 1.0
-            px[:, -1] = 0.0
-            py[:, -1] = 0.0
-        w, x, y, z = (w * pw - x * px - y * py, w * px + x * pw - z * py,
-                      w * py + y * pw + z * px, z * pw + x * py - y * px)
-        at = hits.get(j)
-        if curve:
-            ux, uy, uz = _third_column(w, x, y, z)
-            dx, dy, dz = c_new * ux, c_new * uy, c_new * uz
-            if c_old:
-                dx += c_old * tx
-                dy += c_old * ty
-                dz += c_old * tz
+    quaternions = _step_quaternions(step, block, n, base, span, paths)
+    try:
+        for j, (pw, px, py) in enumerate(quaternions):
+            ragged = j >= tail
             if ragged:
-                dx[:, -1] = dy[:, -1] = dz[:, -1] = 0.0
-            rx += dx
-            ry += dy
-            rz += dz
-            tx, ty, tz = ux, uy, uz
-        elif at is not None:
-            tx, ty, tz = _third_column(w, x, y, z)
-        if at is not None:
-            slots, segs = at
-            for i, target in record.items():
-                vx, vy, vz = ((tx, ty, tz), (rx, ry, rz))[i]
-                target[:, :, slots] = vx[:, segs], vy[:, segs], vz[:, segs]
-        if rod_step is not None:
-            dev = rz - (idx + 1) * rod_step
-            dev *= dev
-            dev += rx * rx
-            dev += ry * ry
-            np.maximum(sup_sq, dev, out=sup_sq)
+                # past the last real step: the exact identity, no motion
+                pw[:, -1] = 1.0
+                px[:, -1] = 0.0
+                py[:, -1] = 0.0
+            w, x, y, z = (w * pw - x * px - y * py, w * px + x * pw - z * py,
+                          w * py + y * pw + z * px, z * pw + x * py - y * px)
+            at = hits.get(j)
+            if curve:
+                ux, uy, uz = _third_column(w, x, y, z)
+                dx, dy, dz = c_new * ux, c_new * uy, c_new * uz
+                if c_old:
+                    dx += c_old * tx
+                    dy += c_old * ty
+                    dz += c_old * tz
+                if ragged:
+                    dx[:, -1] = dy[:, -1] = dz[:, -1] = 0.0
+                rx += dx
+                ry += dy
+                rz += dz
+                tx, ty, tz = ux, uy, uz
+            elif at is not None:
+                tx, ty, tz = _third_column(w, x, y, z)
+            if at is not None:
+                slots, segs = at
+                for i, target in record.items():
+                    vx, vy, vz = ((tx, ty, tz), (rx, ry, rz))[i]
+                    target[:, :, slots] = vx[:, segs], vy[:, segs], vz[:, segs]
+            if rod_step is not None:
+                dev = rz - (np.minimum(base + j, n - 1) + 1) * rod_step
+                dev *= dev
+                dev += rx * rx
+                dev += ry * ry
+                np.maximum(sup_sq, dev, out=sup_sq)
+    finally:
+        quaternions.close()  # stops and joins a helper
+
     end_r = np.array([rx, ry, rz]) if curve else None
     return np.array([w, x, y, z]), end_r, sup_sq
+
+
+def _step_quaternions(step, block, n, base, span, paths):
+    """Yield the ``(3, C, B)`` step quaternions ``(pw, px, py)`` of in-segment
+    steps ``j = 0..span-1`` in order, for segments starting at steps ``base``.
+
+    With ``block`` 1 the filler runs here, a step at a time, into one buffer.
+    Otherwise one helper thread fills blocks of ``block`` steps into two
+    alternating step-major ``(3, K, C, B)`` buffers, through ``(C, K, B)``
+    views: block ``q + 1`` while the caller reads block ``q``.  ``free``
+    counts the buffers the helper may fill and ``full`` those the caller may
+    read.  Closing the generator stops and joins the helper, and what the
+    helper raised is raised here after the join.
+    """
+    if block == 1:
+        pw, px, py = np.empty((3, paths, base.shape[0]))
+        for j in range(span):
+            step(np.minimum(base + j, n - 1), pw, px, py)
+            yield pw, px, py
+        return
+    bufs = np.empty((2, 3, block, paths, base.shape[0]))
+    starts = range(0, span, block)
+    free, full = threading.Semaphore(2), threading.Semaphore(0)
+    stopping = threading.Event()
+    raised = []
+
+    def helper():
+        try:
+            for q, j in enumerate(starts):
+                free.acquire()
+                if stopping.is_set():
+                    return
+                steps = np.arange(j, min(j + block, span))[:, None]
+                step(np.minimum(base + steps, n - 1), *bufs[q % 2, :, :len(steps)].swapaxes(1, 2))
+                full.release()
+        except BaseException as exc:  # handed to the caller after the join
+            raised.append(exc)
+            full.release()
+
+    thread = threading.Thread(target=helper, name="wormchain-scan")
+    thread.start()
+    try:
+        for q, j in enumerate(starts):
+            full.acquire()
+            if raised:
+                raise raised[0]
+            yield from bufs[q % 2, :, :min(block, span - j)].swapaxes(0, 1)
+            free.release()
+    finally:
+        stopping.set()
+        free.release()
+        thread.join()
 
 
 def _third_column(w, x, y, z):

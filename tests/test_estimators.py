@@ -14,6 +14,8 @@ from torsions import whole_row_torsions
 
 import wormchain.chain as chain_module
 import wormchain.estimators as est
+import wormchain.kp as kp_module
+import wormchain.so3 as so3_module
 from wormchain.analytics import hard_rod_fluctuation_cov, kp_tangent_correlation
 from wormchain.chain import FrcConfig, _frc_scan, frc_msd_oracle, sample_frc
 from wormchain.estimators import (
@@ -197,6 +199,21 @@ class TestRunEnsemble:
         # Chunks are reduced in order as they arrive, so at most two per
         # worker are pending.  Each chunk run here draws half its rows on a
         # helper thread, and pooled chunks draw alone, with the same bits.
+        # 16-step chunks fill their step quaternions one step at a time.
+        self._check_pool(monkeypatch, ["wormchain-draw"])
+
+    def test_a_pipelined_chunk_run_here_starts_one_scan_helper(self, monkeypatch):
+        # with blocks of K = 4 // 2 = 2 of their 4 segments' 4 steps, each
+        # chunk run here also starts the helper that fills its step
+        # quaternions, and pooled chunks still start no thread
+        monkeypatch.setattr(so3_module, "_BLOCKS_PER_SEGMENT", 2)
+        monkeypatch.setattr(so3_module, "_MIN_PIPELINED_BLOCK", 2)
+        self._check_pool(monkeypatch, ["wormchain-draw", "wormchain-scan"])
+
+    @staticmethod
+    def _check_pool(monkeypatch, helpers):
+        """40 paths in 6 chunks: run here, each starts ``helpers``; pooled
+        at 5000, 3 and 2 workers, none, with the same bits."""
         monkeypatch.setattr(est, "_CHUNK_BUDGET", 2 * 16 * 7)  # 40 paths in 6 chunks
         widths, peaks, pending = [], [], [0]
         started = record_thread_starts(monkeypatch)
@@ -229,7 +246,7 @@ class TestRunEnsemble:
         cfg = KpConfig(1.0, 1.0, 16)
         obs = (tangent_dot_observable(cfg, 0.0, 1.0),)
         serial = run_ensemble(cfg, 40, obs, seed=12, workers=1)
-        assert len(started) == 6
+        assert [t.name for t in started] == helpers * 6
         started.clear()
         for workers in (5000, 3, 2):
             pooled = run_ensemble(cfg, 40, obs, seed=12, workers=workers)
@@ -346,6 +363,50 @@ class TestRunEnsemble:
         assert made == [0, 0]
         assert len(raised) == 1 and caught.value is raised[0]
         assert str(caught.value) == ("seek 20" if failing == "helper" else "seek 0")
+        assert threading.active_count() == baseline
+
+    @pytest.mark.parametrize("failing", ["helper", "caller"])
+    def test_a_scan_error_stops_and_joins_the_helper(self, monkeypatch, failing):
+        # a chunk run here fills its step quaternions on a helper thread,
+        # four blocks of K = 8 // 4 = 2 of its 8 segments' 8 steps:
+        # what the helper's fill raises reaches run_ensemble's caller after
+        # the join, and an error in the caller's own scan work stops and
+        # joins the helper
+        monkeypatch.setattr(so3_module, "_BLOCKS_PER_SEGMENT", 4)
+        monkeypatch.setattr(so3_module, "_MIN_PIPELINED_BLOCK", 2)
+        started = record_thread_starts(monkeypatch)
+        raised, filled = [], []
+        steps, third_column = kp_module._kp_steps, so3_module._third_column
+
+        def failing_steps(ell_p, dbeta):
+            fill = steps(ell_p, dbeta)
+
+            def step(idx, pw, px, py):
+                filled.append(threading.current_thread().name)
+                if failing == "helper" and len(filled) == 2:
+                    raised.append(OSError("helper fill"))
+                    raise raised[-1]
+                fill(idx, pw, px, py)
+
+            return step
+
+        def failing_third_column(*quaternion):
+            if failing == "caller" and len(filled) == 2:
+                raised.append(OSError("caller scan"))
+                raise raised[-1]
+            return third_column(*quaternion)
+
+        monkeypatch.setattr(kp_module, "_kp_steps", failing_steps)
+        monkeypatch.setattr(so3_module, "_third_column", failing_third_column)
+        baseline = threading.active_count()
+        cfg = KpConfig(1.0, 1.0, 64)
+        with pytest.raises(OSError) as caught:
+            run_ensemble(cfg, 6, (msd_observable(cfg, 1.0),), seed=3)
+        assert len(raised) == 1 and caught.value is raised[0]
+        assert [t.name for t in started] == ["wormchain-draw", "wormchain-scan"]
+        assert set(filled) == {"wormchain-scan"}
+        assert len(filled) < 4  # stopped before the last block
+        assert not any(t.is_alive() for t in started)
         assert threading.active_count() == baseline
 
     def test_validation(self):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from threads import record_thread_starts
 
+import wormchain.so3 as so3_module
 from wormchain.estimators import _path_streams, path_rng
 from wormchain.kp import (
     KpConfig,
@@ -18,7 +19,7 @@ from wormchain.kp import (
     _draw_increments,
     _kp_scan,
 )
-from wormchain.so3 import orthonormal_defect
+from wormchain.so3 import orthonormal_defect, segment_plan
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -265,6 +266,83 @@ class TestRecordSize:
             tracemalloc.stop()
         assert len(rec["tangents"]) == len(rec["positions"]) == 21
         assert peak <= 1.5e6
+
+
+class TestPipelinedScan:
+    """A scan run with ``two_threads`` whose blocks of K steps qualify fills
+    them on a helper thread; every result keeps the per-step scan's bits."""
+
+    @pytest.mark.parametrize("case", ["marks", "rod", "kept", "lone"])
+    def test_pipelined_scan_keeps_every_bit(self, monkeypatch, case):
+        # 5 paths of 203 steps: 14 segments of 15 steps, the last one 8
+        # (ragged); K = 15 // 2 = 7, so blocks of 7, 7 and 1.
+        # Zero and tiny increments take the small-angle series.  A short
+        # switch interval interleaves the helper with the caller.
+        monkeypatch.setattr(so3_module, "_BLOCKS_PER_SEGMENT", 2)
+        monkeypatch.setattr(so3_module, "_MIN_PIPELINED_BLOCK", 2)
+        paths, n = (1, 203) if case == "lone" else (5, 203)
+        assert segment_plan(paths, n) == (14, 15)
+        dbeta = np.random.default_rng(30).normal(scale=0.05, size=(paths, n, 2))
+        dbeta[:, ::9] *= 1e-7
+        dbeta[:, ::17] = 0.0
+        marks = (0, 1, 14, 15, 16, 100, 195, 196, 202, 203)
+        kwargs = {"marks": dict(tangent_marks=marks, position_marks=marks[::2]),
+                  "rod": dict(tangent_marks=marks, track_sup_rod_dev=True),
+                  "kept": dict(want_final_frame=True),
+                  "lone": dict(position_marks=marks, track_sup_rod_dev=True,
+                               want_final_frame=True)}[case]
+
+        def scan(two_threads):
+            kept = np.full((2, paths, n + 1, 3), np.nan) if case == "kept" else (None, None)
+            rec = _kp_scan(0.7, 0.01, dbeta, keep=tuple(kept), two_threads=two_threads,
+                           **kwargs)
+            return rec, kept
+
+        started = record_thread_starts(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            piped, piped_kept = scan(True)
+        finally:
+            sys.setswitchinterval(interval)
+        # the rod rescan restarts the pipeline for its second pass
+        passes = 1 + kwargs.get("track_sup_rod_dev", False)
+        assert [t.name for t in started] == ["wormchain-scan"] * passes
+        started.clear()
+        alone, alone_kept = scan(False)
+        assert started == []
+        assert piped.keys() == alone.keys()
+        for key in ("tangents", "positions"):
+            assert piped[key].keys() == alone[key].keys()
+            for k in alone[key]:
+                assert np.array_equal(piped[key][k], alone[key][k])
+        for key in ("sup_rod_dev", "final_frame"):
+            if key in alone:
+                assert np.array_equal(piped[key], alone[key])
+        if case == "kept":
+            assert np.array_equal(piped_kept, alone_kept)
+            assert not np.isnan(alone_kept).any()
+
+    def test_pipelined_scan_memory(self, monkeypatch):
+        # the smallest shape that qualifies under the shipped rule: one path
+        # of 750**2 steps, in 750 segments, has K = 5, and K B is the most
+        # the rule allows for n, n / 150.  The two step buffers and the
+        # filler's scratch stay under 5 % of the increments.
+        started = record_thread_starts(monkeypatch)
+        n = 750 ** 2
+        assert segment_plan(1, n) == (750, 750)
+        assert 750 == so3_module._MIN_PIPELINED_BLOCK * so3_module._BLOCKS_PER_SEGMENT
+        dbeta = np.random.default_rng(31).normal(scale=0.001, size=(1, n, 2))
+        peaks = []
+        for two_threads in (False, True):
+            tracemalloc.start()
+            try:
+                _kp_scan(1.0, 1e-6, dbeta, position_marks=(n,), two_threads=two_threads)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert [t.name for t in started] == ["wormchain-scan"]
+        assert peaks[1] - peaks[0] <= 0.05 * dbeta.nbytes
 
 
 def _mean_tangent_z(ell_p, length, n_steps, n_paths, seed, at_index):
