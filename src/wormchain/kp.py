@@ -38,7 +38,6 @@ on conventions.)
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,10 +207,11 @@ def _draw_increments(cfg: KpConfig, paths: int, seek, helper_seek=None) -> np.nd
     drawn, while the row is still in cache; they are the bits of
     ``rng.normal(0.0, sqrt(h))``, which computes ``0 + sqrt(h) * z``.
 
-    Given ``helper_seek``, a second seeker over the same keys, one thread
-    draws rows ``C//2..C-1`` from it while the caller draws the rest: each
-    Philox fills its rows without the GIL, and every row keeps its bits.
-    The thread is always joined, and what it raised is raised here.
+    Given ``helper_seek``, a second seeker over the same keys, a one-thread
+    pool draws rows ``C//2..C-1`` from it while the caller draws the rest:
+    each Philox fills its rows without the GIL, and every row keeps its
+    bits.  Leaving the pool waits for its thread.  An error of the caller's
+    own draw is raised as it is; otherwise one the helper raised is.
     """
     dbeta = np.empty((paths, cfg.n_steps, 2))
     sd = math.sqrt(cfg.h)
@@ -225,23 +225,12 @@ def _draw_increments(cfg: KpConfig, paths: int, seek, helper_seek=None) -> np.nd
     if helper_seek is None or paths < 2:
         draw(range(paths), seek)
         return dbeta
-    half = paths // 2
-    raised = []
+    from concurrent.futures import ThreadPoolExecutor  # only a run with a helper pays its import
 
-    def helper():
-        try:
-            draw(range(half, paths), helper_seek)
-        except BaseException as exc:  # handed to the caller after the join
-            raised.append(exc)
-
-    thread = threading.Thread(target=helper, name="wormchain-draw")
-    thread.start()
-    try:
-        draw(range(half), seek)
-    finally:
-        thread.join()
-    if raised:
-        raise raised[0]
+    with ThreadPoolExecutor(1, thread_name_prefix="wormchain-draw") as pool:
+        second = pool.submit(draw, range(paths // 2, paths), helper_seek)
+        draw(range(paths // 2), seek)
+    second.result()
     return dbeta
 
 

@@ -31,10 +31,11 @@ a block of in-segment steps of every segment, refilled as the scan goes: the
 chain's torsions are drawn that way (see :mod:`wormchain.chain`).
 
 A filler that reads nothing but its own inputs may instead be called for
-blocks of ``K`` in-segment steps on a helper thread: while the caller
-advances the frames over block ``q``, the helper fills block ``q + 1`` into
-the other of two step-major buffers.  The caller's product is the same
-sequence of numpy calls either way, so a pipelined scan keeps every bit.
+blocks of ``K`` in-segment steps on a helper thread, a one-thread pool:
+while the caller advances the frames over block ``q``, the helper fills
+block ``q + 1`` into the other of two step-major buffers.  The caller's
+product is the same sequence of numpy calls either way, so a pipelined
+scan keeps every bit.
 
 A scan integrates the curve only when something reads a position (a
 position mark, the rod deviation or the full path); otherwise it advances
@@ -46,7 +47,6 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-import threading
 
 import numpy as np
 
@@ -291,7 +291,7 @@ def _scan_segments(step, block, n, span, tail, weights, curve, q0, r0, record, h
                 dev += ry * ry
                 np.maximum(sup_sq, dev, out=sup_sq)
     finally:
-        quaternions.close()  # stops and joins a helper
+        quaternions.close()  # waits for a pending fill
 
     end_r = np.array([rx, ry, rz]) if curve else None
     return np.array([w, x, y, z]), end_r, sup_sq
@@ -302,12 +302,13 @@ def _step_quaternions(step, block, n, base, span, paths):
     steps ``j = 0..span-1`` in order, for segments starting at steps ``base``.
 
     With ``block`` 1 the filler runs here, a step at a time, into one buffer.
-    Otherwise one helper thread fills blocks of ``block`` steps into two
+    Otherwise a one-thread pool fills blocks of ``block`` steps into two
     alternating step-major ``(3, K, C, B)`` buffers, through ``(C, K, B)``
-    views: block ``q + 1`` while the caller reads block ``q``.  ``free``
-    counts the buffers the helper may fill and ``full`` those the caller may
-    read.  Closing the generator stops and joins the helper, and what the
-    helper raised is raised here after the join.
+    views.  Block ``q`` is yielded once its fill is done and the fill of
+    block ``q + 1`` is submitted: that buffer was last read as block ``q -
+    1``, which the caller has left when it asks for block ``q``.  At most
+    one fill is pending, and an error it raised is raised here.  Closing
+    the generator leaves the pool, which waits for that fill.
     """
     if block == 1:
         pw, px, py = np.empty((3, paths, base.shape[0]))
@@ -315,38 +316,22 @@ def _step_quaternions(step, block, n, base, span, paths):
             step(np.minimum(base + j, n - 1), pw, px, py)
             yield pw, px, py
         return
+    from concurrent.futures import ThreadPoolExecutor  # only a pipelined scan pays its import
+
     bufs = np.empty((2, 3, block, paths, base.shape[0]))
-    starts = range(0, span, block)
-    free, full = threading.Semaphore(2), threading.Semaphore(0)
-    stopping = threading.Event()
-    raised = []
+    blocks = -(-span // block)
 
-    def helper():
-        try:
-            for q, j in enumerate(starts):
-                free.acquire()
-                if stopping.is_set():
-                    return
-                steps = np.arange(j, min(j + block, span))[:, None]
-                step(np.minimum(base + steps, n - 1), *bufs[q % 2, :, :len(steps)].swapaxes(1, 2))
-                full.release()
-        except BaseException as exc:  # handed to the caller after the join
-            raised.append(exc)
-            full.release()
+    def fill(q):
+        steps = np.arange(q * block, min(q * block + block, span))[:, None]
+        step(np.minimum(base + steps, n - 1), *bufs[q % 2, :, :len(steps)].swapaxes(1, 2))
 
-    thread = threading.Thread(target=helper, name="wormchain-scan")
-    thread.start()
-    try:
-        for q, j in enumerate(starts):
-            full.acquire()
-            if raised:
-                raise raised[0]
-            yield from bufs[q % 2, :, :min(block, span - j)].swapaxes(0, 1)
-            free.release()
-    finally:
-        stopping.set()
-        free.release()
-        thread.join()
+    with ThreadPoolExecutor(1, thread_name_prefix="wormchain-scan") as pool:
+        filled = pool.submit(fill, 0)
+        for q in range(blocks):
+            filled.result()
+            if q + 1 < blocks:
+                filled = pool.submit(fill, q + 1)
+            yield from bufs[q % 2, :, :min(block, span - q * block)].swapaxes(0, 1)
 
 
 def _third_column(w, x, y, z):

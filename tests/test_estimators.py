@@ -200,7 +200,7 @@ class TestRunEnsemble:
         # worker are pending.  Each chunk run here draws half its rows on a
         # helper thread, and pooled chunks draw alone, with the same bits.
         # 16-step chunks fill their step quaternions one step at a time.
-        self._check_pool(monkeypatch, ["wormchain-draw"])
+        self._check_pool(monkeypatch, ["wormchain-draw_0"])
 
     def test_a_pipelined_chunk_run_here_starts_one_scan_helper(self, monkeypatch):
         # with blocks of K = 4 // 2 = 2 of their 4 segments' 4 steps, each
@@ -208,7 +208,7 @@ class TestRunEnsemble:
         # quaternions, and pooled chunks still start no thread
         monkeypatch.setattr(so3_module, "_BLOCKS_PER_SEGMENT", 2)
         monkeypatch.setattr(so3_module, "_MIN_PIPELINED_BLOCK", 2)
-        self._check_pool(monkeypatch, ["wormchain-draw", "wormchain-scan"])
+        self._check_pool(monkeypatch, ["wormchain-draw_0", "wormchain-scan_0"])
 
     @staticmethod
     def _check_pool(monkeypatch, helpers):
@@ -336,22 +336,23 @@ class TestRunEnsemble:
             expected = path_rng(21, index).normal(0.0, math.sqrt(cfg.h), (7, 2))
             assert np.array_equal(dbeta[row], expected)
 
-    @pytest.mark.parametrize("failing", ["helper", "caller"])
+    @pytest.mark.parametrize("failing", ["helper", "caller", "both"])
     def test_a_draw_error_reaches_the_caller_after_the_join(self, monkeypatch, failing):
         # a chunk's second seeker is its helper thread's: what either seeker
-        # raises reaches run_ensemble's caller, and the helper is joined
+        # raises reaches run_ensemble's caller, the caller's own error when
+        # both raise, and the helper is joined
         streams = est._path_streams
-        made, raised = [], []
+        made, raised = [], {}
 
         def seekers(seed, start):
             made.append(start)
             seek = streams(seed, start)
-            if (len(made) == 2) != (failing == "helper"):
+            if failing != "both" and (len(made) == 2) != (failing == "helper"):
                 return seek
 
             def broken(i, pos=0):
-                raised.append(OSError(f"seek {i}"))
-                raise raised[-1]
+                raised[i] = OSError(f"seek {i}")
+                raise raised[i]
 
             return broken
 
@@ -361,7 +362,8 @@ class TestRunEnsemble:
         with pytest.raises(OSError) as caught:
             run_ensemble(cfg, 40, (msd_observable(cfg, 1.0),), seed=3)
         assert made == [0, 0]
-        assert len(raised) == 1 and caught.value is raised[0]
+        assert sorted(raised) == {"helper": [20], "caller": [0], "both": [0, 20]}[failing]
+        assert caught.value is raised[20 if failing == "helper" else 0]
         assert str(caught.value) == ("seek 20" if failing == "helper" else "seek 0")
         assert threading.active_count() == baseline
 
@@ -403,8 +405,8 @@ class TestRunEnsemble:
         with pytest.raises(OSError) as caught:
             run_ensemble(cfg, 6, (msd_observable(cfg, 1.0),), seed=3)
         assert len(raised) == 1 and caught.value is raised[0]
-        assert [t.name for t in started] == ["wormchain-draw", "wormchain-scan"]
-        assert set(filled) == {"wormchain-scan"}
+        assert [t.name for t in started] == ["wormchain-draw_0", "wormchain-scan_0"]
+        assert set(filled) == {"wormchain-scan_0"}
         assert len(filled) < 4  # stopped before the last block
         assert not any(t.is_alive() for t in started)
         assert threading.active_count() == baseline

@@ -307,7 +307,7 @@ class TestPipelinedScan:
             sys.setswitchinterval(interval)
         # the rod rescan restarts the pipeline for its second pass
         passes = 1 + kwargs.get("track_sup_rod_dev", False)
-        assert [t.name for t in started] == ["wormchain-scan"] * passes
+        assert [t.name for t in started] == ["wormchain-scan_0"] * passes
         started.clear()
         alone, alone_kept = scan(False)
         assert started == []
@@ -341,7 +341,7 @@ class TestPipelinedScan:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert [t.name for t in started] == ["wormchain-scan"]
+        assert [t.name for t in started] == ["wormchain-scan_0"]
         assert peaks[1] - peaks[0] <= 0.05 * dbeta.nbytes
 
 

@@ -1,4 +1,7 @@
+import concurrent.futures
 import math
+import threading
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from wormchain.so3 import (
     _qmul,
     _qnormalize,
     _rotate,
+    _step_quaternions,
     frame_scan,
     orthonormal_defect,
     quat_matrix,
@@ -339,3 +343,62 @@ class TestFrameScan:
                 segments, span = segment_plan(paths, n)
                 assert segments * paths <= max(4096, paths)
                 assert (segments - 1) * span < n <= segments * span
+
+
+class _InlinePool:
+    """A ``ThreadPoolExecutor`` stand-in that runs each task as it is submitted."""
+
+    def __init__(self, max_workers, thread_name_prefix=""):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        done = Future()
+        done.set_result(fn(*args))
+        return done
+
+
+class TestStepPipeline:
+    @pytest.mark.parametrize("pool", ["thread", "inline"])
+    def test_a_fill_writes_only_a_buffer_the_caller_has_left(self, monkeypatch, pool):
+        # 2 paths in 3 segments of 23 steps, the last one ragged, in blocks
+        # of K = 4 (the last one 3).  Each fill notes, under a lock, the step
+        # the caller has asked for and the fills running when it starts.
+        # The inline pool runs a fill as it is submitted, so that record
+        # does not depend on thread timing: a fill submitted two blocks
+        # ahead starts before the caller has left the buffer it writes.
+        if pool == "inline":
+            monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _InlinePool)
+        block, span, n = 4, 23, 66
+        base = np.arange(3) * span
+        lock = threading.Lock()
+        asked, running, starts = [-1], [0], []
+
+        def step(idx, pw, px, py):
+            with lock:
+                starts.append((int(idx[0, 0]), asked[0], running[0]))
+                running[0] += 1
+            pw[...] = idx
+            np.negative(idx, out=px)
+            py[...] = 0.5
+            with lock:
+                running[0] -= 1
+
+        quaternions = _step_quaternions(step, block, n, base, span, 2)
+        for j in range(span):
+            with lock:
+                asked[0] = j
+            pw, px, py = next(quaternions)
+            idx = np.broadcast_to(np.minimum(base + j, n - 1), (2, 3))
+            assert np.array_equal(pw, idx) and np.array_equal(px, -idx) and (py == 0.5).all()
+        with pytest.raises(StopIteration):
+            next(quaternions)
+        assert [first for first, _, _ in starts] == list(range(0, span, block))
+        for first, at, busy in starts:
+            # block q starts once the caller has asked for block q - 1
+            assert at >= first - block and busy == 0
